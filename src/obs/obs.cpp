@@ -270,8 +270,13 @@ void publish_task(const char* runtime, const perf::TaskEvent& event,
                   perf::TraceRecorder* recorder) noexcept {
   try {
     if (recorder != nullptr) {
-      recorder->record(
-          event.worker < 0 ? 0u : static_cast<unsigned>(event.worker), event);
+      // A thread outside the pool (worker < 0, e.g. the host helping inside
+      // future::get) must not append to a worker's unlocked lane: the
+      // recorder sends out-of-range ids to its overflow lane.
+      recorder->record(event.worker < 0
+                           ? std::numeric_limits<unsigned>::max()
+                           : static_cast<unsigned>(event.worker),
+                       event);
     }
     const int f = flags();
     const bool capture = job_trace_active();
@@ -280,7 +285,8 @@ void publish_task(const char* runtime, const perf::TaskEvent& event,
     const bool to_sink = (f & kTraceBit) != 0;
     if (to_sink || capture) {
       TraceSink::instance().name_current_lane(
-          std::string(runtime) + "/w" + std::to_string(event.worker));
+          std::string(runtime) +
+          (event.worker < 0 ? "/host" : "/w" + std::to_string(event.worker)));
       emit_trace_event(
           TraceEvent{kernel, kernel, 'X', event.start_ns,
                      event.end_ns - event.start_ns,

@@ -9,6 +9,7 @@
 #include "la/sptrsv.hpp"
 #include "obs/obs.hpp"
 #include "solvers/checkpoint.hpp"
+#include "solvers/lowering.hpp"
 #include "sparse/ic0.hpp"
 #include "support/rng.hpp"
 #include "support/timer.hpp"
@@ -302,8 +303,8 @@ CgResult run_bsp(const sparse::Csr* csr, const sparse::Csb& csb,
 
 // --------------------------------------------------------------------------
 // flux (HPX-style) version: SpMV and the vector updates run as per-block
-// dataflow tasks threaded through futures exactly like the Lanczos flux
-// driver; the IC(0) triangular solves run as the DAG-scheduled SpTRSV.
+// dataflow tasks threaded through futures exactly like the flux lowering
+// (lowering.hpp); the IC(0) triangular solves run as the DAG-scheduled SpTRSV.
 // CG's two inner products are genuine synchronization points (alpha and
 // beta are host-side scalars), so each iteration syncs twice — the rest of
 // the graph overlaps freely across those barriers.
@@ -326,21 +327,7 @@ CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
   auto ready = [] { return flux::make_ready_future(); };
 
   auto traced = [&](graph::KernelKind kind, std::int32_t bi, auto fn) {
-    return [&sched, trace, kind, bi, fn]() {
-      const obs::prof::TaskMark mark("flux", kind);
-      if (trace == nullptr && !obs::task_timing_enabled()) {
-        fn();
-        return;
-      }
-      perf::TaskEvent ev;
-      ev.kind = kind;
-      ev.task_id = bi;
-      ev.worker = std::max(0, sched.current_worker());
-      ev.start_ns = support::now_ns();
-      fn();
-      ev.end_ns = support::now_ns();
-      obs::publish_task("flux", ev, trace);
-    };
+    return flux_task(sched, trace, kind, bi, std::move(fn));
   };
 
   auto rows_in = [&](index_t p) { return std::min(b, m - p * b); };

@@ -3,13 +3,10 @@
 #include <cmath>
 
 #include "bsp/kernels.hpp"
-#include "ds/executor.hpp"
-#include "ds/program.hpp"
-#include "flux/dataflow.hpp"
 #include "la/eig.hpp"
 #include "obs/obs.hpp"
-#include "rgt/runtime.hpp"
 #include "solvers/checkpoint.hpp"
+#include "solvers/lowering.hpp"
 #include "support/timer.hpp"
 
 #ifdef _OPENMP
@@ -218,599 +215,70 @@ LanczosResult run_bsp(const sparse::Csr* csr, const sparse::Csb& csb, int k,
 }
 
 // --------------------------------------------------------------------------
-// DeepSparse version: the task graph of one iteration is built once and
-// re-executed with a barrier (the convergence check) between iterations.
+// Task runtimes (ds, flux, rgt): one iteration as kernel calls (Listing 1),
+// lowered by run_tasks().
 // --------------------------------------------------------------------------
 
-LanczosResult run_ds(const sparse::Csb& csb, int k,
-                     const SolverOptions& options) {
-#ifdef _OPENMP
-  omp_set_num_threads(static_cast<int>(options.threads));
-#endif
-  State s = make_state(csb, k, options);
-  std::vector<double> alphas;
-  std::vector<double> betas;
-  SolverStatus status = SolverStatus::kOk;
-  const int start = apply_restore(options, s, alphas, betas);
-  const int every = ckpt::effective_every(options.ckpt_every);
-  // Column of Q written by the running iteration.
-  index_t cur_col = static_cast<index_t>(start) + 1;
+struct LanczosScript {
+  const SolverOptions& options;
+  State& s;
+  std::vector<double>& alphas;
+  std::vector<double>& betas;
+  SolverStatus& status;
+  index_t col; // column of Q written by the running iteration
+  DataId q = -1, z = -1, Q = -1, proj = -1, beta2 = -1, beta = -1;
 
-  ds::Program prog(&csb, {.skip_empty_blocks = options.skip_empty_blocks,
-                          .dependency_based_spmm =
-                              options.dependency_based_spmm,
-                          .spmm_buffers =
-                              static_cast<std::int32_t>(options.threads)});
-  const ds::DataId qid = prog.vec("q", &s.q);
-  const ds::DataId zid = prog.vec("z", &s.z);
-  const ds::DataId Qid = prog.vec("Q", &s.Q);
-  const ds::DataId projid = prog.small("proj", &s.proj);
-  double* beta2 = &s.beta2;
-  double* beta = &s.beta;
-  const ds::DataId b2id = prog.scalar("beta2", beta2);
-  const ds::DataId bid = prog.scalar("beta", beta);
+  template <typename L>
+  void declare(L& l) {
+    q = l.vec("q", &s.q);
+    z = l.vec("z", &s.z);
+    Q = l.vec("Q", &s.Q);
+    proj = l.small("proj", &s.proj);
+    beta2 = l.scalar("beta2", &s.beta2);
+    beta = l.scalar("beta", &s.beta);
+  }
 
-  IterationTiming timing;
-  const support::Timer build_timer;
-  prog.spmm(qid, zid);                    // z = A q
-  prog.xty(Qid, zid, projid);             // proj = Q^T z
-  prog.xy(Qid, projid, zid, -1.0, 1.0);   // z -= Q proj
-  prog.dot(zid, zid, b2id);               // beta2 = z . z
-  prog.small_task(
-      graph::KernelKind::kNorm,
-      [beta2, beta] { *beta = std::max(std::sqrt(*beta2), kBreakdownFloor); },
-      {b2id}, {bid});
-  prog.scale_into(zid, bid, /*reciprocal=*/true, qid); // q = z / beta
-  prog.copy_into_column(qid, Qid, &cur_col);           // Q(:, col) = q
-  const graph::Tdg graph = prog.build();
-  timing.graph_build_seconds = build_timer.seconds();
+  template <typename L>
+  void issue(L& l) {
+    double* b2 = &s.beta2;
+    double* b = &s.beta;
+    l.spmm(q, z);                   // z = A q
+    l.xty(Q, z, proj);              // proj = Q^T z
+    l.xy(Q, proj, z, -1.0, 1.0);    // z -= Q proj
+    l.dot(z, z, beta2);             // beta2 = z . z
+    l.small_task(
+        graph::KernelKind::kNorm,
+        [b2, b] { *b = std::max(std::sqrt(*b2), kBreakdownFloor); }, {beta2},
+        {beta});
+    l.scale_into(z, beta, /*reciprocal=*/true, q); // q = z / beta
+    l.copy_into_column(q, Q, &col);                // Q(:, col) = q
+  }
 
-  const ds::ExecOptions exec{.mode = ds::ExecMode::kOmpTasks,
-                             .trace = options.trace};
-
-  const support::Timer timer;
-  for (int i = start; i < k; ++i) {
-    poll_cancel(options);
-    obs::IterScope iter("lanczos.ds", i);
-    ds::execute(graph, exec);
-    iter.metric("alpha", s.proj.at(i, 0));
+  bool accept(obs::IterScope& iter, int i) {
+    const double alpha = s.proj.at(i, 0);
+    iter.metric("alpha", alpha);
     iter.metric("beta", s.beta);
-    ++timing.iterations;
-    if (!accept_iteration(s.proj.at(i, 0), s.beta, alphas, betas, status)) {
-      break;
-    }
-    cur_col = i + 2;
-    maybe_checkpoint(options, s, alphas, betas, i + 1, every);
+    if (!accept_iteration(alpha, s.beta, alphas, betas, status)) return false;
+    col = i + 2;
+    return true;
   }
-  timing.total_seconds = timer.seconds();
-  return finalize(std::move(alphas), std::move(betas), status, timing);
-}
 
-// --------------------------------------------------------------------------
-// flux (HPX-style) version: futures per vector piece, dataflow chains as in
-// the paper's Listing 2.
-// --------------------------------------------------------------------------
+  void checkpoint(int completed, int every) {
+    maybe_checkpoint(options, s, alphas, betas, completed, every);
+  }
+};
 
-LanczosResult run_flux(const sparse::Csb& csb, int k,
-                       const SolverOptions& options) {
+LanczosResult run_task_version(const sparse::Csb& csb, int k, Version v,
+                               const SolverOptions& options) {
   State s = make_state(csb, k, options);
-  const index_t b = options.block_size;
-  STS_EXPECTS(csb.block_size() == b);
-  const index_t np = csb.block_rows();
-  const index_t m = s.m;
-
-  std::unique_ptr<flux::Scheduler> owned_sched;
-  flux::Scheduler& sched = acquire_flux_pool(options, owned_sched);
-  // If anything below unwinds (cancellation, a task fault), quiesce before
-  // the iteration state dies — mandatory when `sched` is a shared pool
-  // whose workers outlive this call.
-  flux::QuiesceOnExit quiesce(sched);
-  perf::TraceRecorder* trace = options.trace;
-
-  using Fut = flux::shared_future<void>;
-  auto ready = [] { return flux::make_ready_future(); };
-
-  // Piece body wrapper publishing to the unified event stream (bench
-  // recorder, Chrome trace, latency histograms).
-  auto traced = [&](graph::KernelKind kind, std::int32_t bi, auto fn) {
-    return [&sched, trace, kind, bi, fn]() {
-      const obs::prof::TaskMark mark("flux", kind);
-      if (trace == nullptr && !obs::task_timing_enabled()) {
-        fn();
-        return;
-      }
-      perf::TaskEvent ev;
-      ev.kind = kind;
-      ev.task_id = bi;
-      ev.worker = std::max(0, sched.current_worker());
-      ev.start_ns = support::now_ns();
-      fn();
-      ev.end_ns = support::now_ns();
-      obs::publish_task("flux", ev, trace);
-    };
-  };
-
-  auto rows_in = [&](index_t p) { return std::min(b, m - p * b); };
-  // Domain hints follow the same nnz-balanced stripe partition
-  // place_stripes() used (it is deterministic in (matrix, domains)), so a
-  // hinted SpMM task runs on a worker of the node that holds its stripe's
-  // pages — the paper's NUMA-aware scheduling + first-touch combination.
-  const sparse::Csb::DomainMap dmap =
-      csb.partition_block_rows(options.numa_domains);
-  auto domain_of = [&](index_t p) -> int {
-    return options.numa_domains > 1 ? dmap.owner(p) : -1;
-  };
-
-  // Futures threaded across iterations (see the dependence walkthrough in
-  // DESIGN.md): per piece, the last write of q/z/Q and outstanding readers
-  // whose completion the next writer must observe.
-  std::vector<Fut> q_w(static_cast<std::size_t>(np), ready());
-  std::vector<Fut> Q_w(static_cast<std::size_t>(np), ready());
-  std::vector<Fut> z_w(static_cast<std::size_t>(np), ready());
-  std::vector<std::vector<Fut>> q_r(static_cast<std::size_t>(np));
-  std::vector<std::vector<Fut>> z_r(static_cast<std::size_t>(np));
-
   std::vector<double> alphas;
   std::vector<double> betas;
   SolverStatus status = SolverStatus::kOk;
   const int start = apply_restore(options, s, alphas, betas);
-  const int every = ckpt::effective_every(options.ckpt_every);
-  IterationTiming timing;
-
-  la::DenseMatrix* Q = &s.Q;
-  la::DenseMatrix* q = &s.q;
-  la::DenseMatrix* z = &s.z;
-  la::DenseMatrix* proj = &s.proj;
-  double* beta = &s.beta;
-  const sparse::Csb* a = &csb;
-
-  // Per-piece partial buffers for proj and beta2.
-  la::DenseMatrix proj_part(np, s.cols);
-  la::DenseMatrix dot_part(np, 1);
-
-  const support::Timer timer;
-  for (int i = start; i < k; ++i) {
-    poll_cancel(options);
-    // The iteration span covers submission through the convergence-check
-    // gets — the driver's view of the iteration; kernel tasks may overlap
-    // the next iteration's submissions on the worker tracks.
-    obs::IterScope iter("lanczos.flux", i);
-    // z = A q: zero, then a dependency chain per output piece.
-    std::vector<Fut> z_chain(static_cast<std::size_t>(np));
-    for (index_t bi = 0; bi < np; ++bi) {
-      auto zero = traced(graph::KernelKind::kZero,
-                         static_cast<std::int32_t>(bi), [z, a, bi] {
-                           sparse::csb_block_zero(*a, bi, z->view());
-                         });
-      z_chain[static_cast<std::size_t>(bi)] =
-          flux::dataflow_hint(
-              sched, domain_of(bi), flux::unwrapping(zero),
-              z_w[static_cast<std::size_t>(bi)],
-              std::move(z_r[static_cast<std::size_t>(bi)]))
-              .share();
-      z_r[static_cast<std::size_t>(bi)].clear();
-    }
-    std::vector<std::vector<Fut>> q_r_now(static_cast<std::size_t>(np));
-    for (index_t bi = 0; bi < np; ++bi) {
-      for (index_t bj = 0; bj < np; ++bj) {
-        if (options.skip_empty_blocks && a->block_empty(bi, bj)) continue;
-        auto body = traced(graph::KernelKind::kSpMV,
-                           static_cast<std::int32_t>(bi), [q, z, a, bi, bj] {
-                             sparse::csb_block_spmm(*a, bi, bj, q->view(),
-                                                    z->view());
-                           });
-        Fut f = flux::dataflow_hint(sched, domain_of(bi),
-                                    flux::unwrapping(body),
-                                    z_chain[static_cast<std::size_t>(bi)],
-                                    q_w[static_cast<std::size_t>(bj)])
-                    .share();
-        z_chain[static_cast<std::size_t>(bi)] = f;
-        q_r_now[static_cast<std::size_t>(bj)].push_back(f);
-      }
-    }
-
-    // proj = Q^T z: per-piece partials, then a reduction task.
-    std::vector<Fut> pp(static_cast<std::size_t>(np));
-    la::DenseMatrix* ppart = &proj_part;
-    for (index_t p = 0; p < np; ++p) {
-      const index_t r0 = p * b;
-      const index_t nr = rows_in(p);
-      auto body = traced(graph::KernelKind::kXTY,
-                         static_cast<std::int32_t>(p), [Q, z, ppart, r0, nr,
-                                                        p] {
-                           la::MatrixView out{ppart->data() + p * ppart->cols(),
-                                              ppart->cols(), 1, 1};
-                           la::gemm_tn(1.0, Q->row_block(r0, nr),
-                                       z->row_block(r0, nr), 0.0, out);
-                         });
-      pp[static_cast<std::size_t>(p)] =
-          flux::dataflow_hint(sched, domain_of(p), flux::unwrapping(body),
-                              z_chain[static_cast<std::size_t>(p)],
-                              Q_w[static_cast<std::size_t>(p)])
-              .share();
-    }
-    la::DenseMatrix* projp = proj;
-    const index_t kq = s.cols;
-    Fut proj_f =
-        flux::dataflow(sched,
-                       flux::unwrapping(traced(
-                           graph::KernelKind::kReduce, -1,
-                           [ppart, projp, np, kq] {
-                             for (index_t c = 0; c < kq; ++c) {
-                               projp->at(c, 0) = 0.0;
-                             }
-                             for (index_t p = 0; p < np; ++p) {
-                               for (index_t c = 0; c < kq; ++c) {
-                                 projp->at(c, 0) +=
-                                     ppart->at(p, c);
-                               }
-                             }
-                           })),
-                       pp)
-            .share();
-
-    // z -= Q proj.
-    for (index_t p = 0; p < np; ++p) {
-      const index_t r0 = p * b;
-      const index_t nr = rows_in(p);
-      auto body = traced(graph::KernelKind::kXY, static_cast<std::int32_t>(p),
-                         [Q, z, projp, r0, nr] {
-                           la::gemm(-1.0, Q->row_block(r0, nr), projp->view(),
-                                    1.0, z->row_block(r0, nr));
-                         });
-      Fut f = flux::dataflow_hint(sched, domain_of(p), flux::unwrapping(body),
-                                  pp[static_cast<std::size_t>(p)], proj_f)
-                  .share();
-      z_w[static_cast<std::size_t>(p)] = f;
-    }
-
-    // beta = || z ||.
-    std::vector<Fut> dp(static_cast<std::size_t>(np));
-    la::DenseMatrix* dpart = &dot_part;
-    for (index_t p = 0; p < np; ++p) {
-      const index_t r0 = p * b;
-      const index_t nr = rows_in(p);
-      auto body = traced(graph::KernelKind::kDotPartial,
-                         static_cast<std::int32_t>(p), [z, dpart, r0, nr, p] {
-                           dpart->at(p, 0) =
-                               la::dot(z->row_block(r0, nr),
-                                       z->row_block(r0, nr));
-                         });
-      dp[static_cast<std::size_t>(p)] =
-          flux::dataflow_hint(sched, domain_of(p), flux::unwrapping(body),
-                              z_w[static_cast<std::size_t>(p)])
-              .share();
-      z_r[static_cast<std::size_t>(p)].push_back(
-          dp[static_cast<std::size_t>(p)]);
-    }
-    Fut beta_f =
-        flux::dataflow(sched,
-                       flux::unwrapping(traced(graph::KernelKind::kNorm, -1,
-                                               [dpart, beta, np] {
-                                                 double acc = 0.0;
-                                                 for (index_t p = 0; p < np;
-                                                      ++p) {
-                                                   acc += dpart->at(p, 0);
-                                                 }
-                                                 *beta = std::max(
-                                                     std::sqrt(acc),
-                                                     kBreakdownFloor);
-                                               })),
-                       dp)
-            .share();
-
-    // q = z / beta and Q(:, i+1) = q.
-    const index_t col = i + 1;
-    for (index_t p = 0; p < np; ++p) {
-      const index_t r0 = p * b;
-      const index_t nr = rows_in(p);
-      auto scale_body = traced(graph::KernelKind::kScale,
-                               static_cast<std::int32_t>(p),
-                               [z, q, beta, r0, nr] {
-                                 const double inv = 1.0 / *beta;
-                                 for (index_t r = 0; r < nr; ++r) {
-                                   q->at(r0 + r, 0) = z->at(r0 + r, 0) * inv;
-                                 }
-                               });
-      Fut scale_f =
-          flux::dataflow_hint(sched, domain_of(p),
-                              flux::unwrapping(scale_body), beta_f,
-                              z_w[static_cast<std::size_t>(p)],
-                              std::move(q_r[static_cast<std::size_t>(p)]),
-                              std::move(q_r_now[static_cast<std::size_t>(p)]))
-              .share();
-      q_w[static_cast<std::size_t>(p)] = scale_f;
-      z_r[static_cast<std::size_t>(p)].push_back(scale_f);
-
-      auto setcol_body = traced(graph::KernelKind::kAxpy,
-                                static_cast<std::int32_t>(p),
-                                [q, Q, r0, nr, col] {
-                                  for (index_t r = 0; r < nr; ++r) {
-                                    Q->at(r0 + r, col) = q->at(r0 + r, 0);
-                                  }
-                                });
-      Fut setcol_f =
-          flux::dataflow_hint(sched, domain_of(p),
-                              flux::unwrapping(setcol_body), scale_f,
-                              pp[static_cast<std::size_t>(p)],
-                              z_w[static_cast<std::size_t>(p)])
-              .share();
-      Q_w[static_cast<std::size_t>(p)] = setcol_f;
-      q_r[static_cast<std::size_t>(p)] = {setcol_f};
-    }
-
-    // Convergence check: the per-iteration synchronization point.
-    proj_f.get(&sched);
-    beta_f.get(&sched);
-    iter.metric("alpha", s.proj.at(i, 0));
-    iter.metric("beta", s.beta);
-    ++timing.iterations;
-    if (!accept_iteration(s.proj.at(i, 0), s.beta, alphas, betas, status)) {
-      break;
-    }
-    // Checkpointing needs the tail tasks (scale/setcol) drained, not just
-    // the convergence gets — quiesce first, and only when a write is due.
-    if (!options.ckpt_path.empty() && (i + 1) % every == 0) {
-      sched.wait_for_quiescence();
-      maybe_checkpoint(options, s, alphas, betas, i + 1, every);
-    }
-  }
-  quiesce.dismiss();
-  sched.wait_for_quiescence();
-  timing.total_seconds = timer.seconds();
-  return finalize(std::move(alphas), std::move(betas), status, timing);
-}
-
-// --------------------------------------------------------------------------
-// rgt (Regent-style) version: regions + privileges, Listing 3 shape.
-// --------------------------------------------------------------------------
-
-LanczosResult run_rgt(const sparse::Csb& csb, int k,
-                      const SolverOptions& options) {
-  State s = make_state(csb, k, options);
-  const index_t b = options.block_size;
-  const index_t np = csb.block_rows();
-  const index_t m = s.m;
-  const index_t kq = s.cols;
-
-  rgt::Runtime rt({.cpu_workers = options.threads,
-                   .util_threads = 1,
-                   .verify_index_launches = false,
-                   .window = 4096});
-
-  la::DenseMatrix proj_part(np, kq);
-  la::DenseMatrix dot_part(np, 1);
-
-  using rgt::Privilege;
-  using rgt::RegionReq;
-  using rgt::TaskLaunch;
-
-  const rgt::RegionId rq = rt.register_region(s.q.flat(), "q");
-  const rgt::RegionId rz = rt.register_region(s.z.flat(), "z");
-  const rgt::RegionId rQ = rt.register_region(s.Q.flat(), "Q");
-  const rgt::RegionId rproj = rt.register_region(s.proj.flat(), "proj");
-  const rgt::RegionId rpp = rt.register_region(proj_part.flat(), "proj_part");
-  const rgt::RegionId rdp = rt.register_region(dot_part.flat(), "dot_part");
-  std::vector<double> beta_cell(1, 0.0);
-  const rgt::RegionId rbeta = rt.register_region(beta_cell, "beta");
-  rt.partition_equal(rq, static_cast<std::int32_t>(np));
-  rt.partition_equal(rz, static_cast<std::int32_t>(np));
-  rt.partition_equal(rQ, static_cast<std::int32_t>(np));
-  rt.partition_equal(rpp, static_cast<std::int32_t>(np));
-  rt.partition_equal(rdp, static_cast<std::int32_t>(np));
-
-  perf::TraceRecorder* trace = options.trace;
-  auto traced = [trace](graph::KernelKind kind, std::int32_t bi, auto fn) {
-    return [trace, kind, bi, fn](rgt::TaskContext& ctx) {
-      const obs::prof::TaskMark mark("rgt", kind);
-      if (trace == nullptr && !obs::task_timing_enabled()) {
-        fn(ctx);
-        return;
-      }
-      perf::TaskEvent ev;
-      ev.kind = kind;
-      ev.task_id = bi;
-      ev.worker = std::max(0, ctx.worker());
-      ev.start_ns = support::now_ns();
-      fn(ctx);
-      ev.end_ns = support::now_ns();
-      obs::publish_task("rgt", ev, trace);
-    };
-  };
-
-  auto rows_in = [&](index_t p) { return std::min(b, m - p * b); };
-
-  la::DenseMatrix* Q = &s.Q;
-  la::DenseMatrix* q = &s.q;
-  la::DenseMatrix* z = &s.z;
-  la::DenseMatrix* proj = &s.proj;
-  la::DenseMatrix* ppart = &proj_part;
-  la::DenseMatrix* dpart = &dot_part;
-  double* beta = beta_cell.data();
-  const sparse::Csb* a = &csb;
-
-  std::vector<double> alphas;
-  std::vector<double> betas;
-  SolverStatus status = SolverStatus::kOk;
-  const int start = apply_restore(options, s, alphas, betas);
-  const int every = ckpt::effective_every(options.ckpt_every);
-  IterationTiming timing;
-
-  const support::Timer timer;
-  for (int i = start; i < k; ++i) {
-    poll_cancel(options);
-    obs::IterScope iter("lanczos.rgt", i);
-    // z = A q.
-    if (options.dependency_based_spmm) {
-      for (index_t bi = 0; bi < np; ++bi) {
-        rt.execute({traced(graph::KernelKind::kZero,
-                           static_cast<std::int32_t>(bi),
-                           [z, a, bi](rgt::TaskContext&) {
-                             sparse::csb_block_zero(*a, bi, z->view());
-                           }),
-                    {{rz, static_cast<std::int32_t>(bi), Privilege::kWrite}},
-                    "zero"});
-      }
-      for (index_t bi = 0; bi < np; ++bi) {
-        for (index_t bj = 0; bj < np; ++bj) {
-          if (options.skip_empty_blocks && a->block_empty(bi, bj)) continue;
-          rt.execute(
-              {traced(graph::KernelKind::kSpMV,
-                      static_cast<std::int32_t>(bi),
-                      [q, z, a, bi, bj](rgt::TaskContext&) {
-                        sparse::csb_block_spmm(*a, bi, bj, q->view(),
-                                               z->view());
-                      }),
-               {{rq, static_cast<std::int32_t>(bj), Privilege::kRead},
-                {rz, static_cast<std::int32_t>(bi), Privilege::kReadWrite}},
-               "spmv"});
-        }
-      }
-    } else {
-      // Reduction-based variant (paper Fig. 7): every task reduces into a
-      // per-worker copy of the whole output vector.
-      rt.execute({traced(graph::KernelKind::kZero, -1,
-                         [z](rgt::TaskContext&) { z->fill(0.0); }),
-                  {{rz, -1, Privilege::kWrite}},
-                  "zero"});
-      for (index_t bi = 0; bi < np; ++bi) {
-        for (index_t bj = 0; bj < np; ++bj) {
-          if (options.skip_empty_blocks && a->block_empty(bi, bj)) continue;
-          rt.execute(
-              {traced(graph::KernelKind::kSpMV,
-                      static_cast<std::int32_t>(bi),
-                      [q, a, bi, bj, rz, m](rgt::TaskContext& ctx) {
-                        std::span<double> buf = ctx.reduce_target(rz);
-                        STS_ASSERT(buf.size() ==
-                                   static_cast<std::size_t>(m));
-                        sparse::csb_block_spmv(*a, bi, bj,
-                                               {q->data(),
-                                                static_cast<std::size_t>(m)},
-                                               buf);
-                      }),
-               {{rq, static_cast<std::int32_t>(bj), Privilege::kRead},
-                {rz, -1, Privilege::kReduce}},
-               "spmv-reduce"});
-        }
-      }
-    }
-
-    // proj = Q^T z (partials via index launch, then a reduce task).
-    rt.index_launch(static_cast<std::int32_t>(np), [&](std::int32_t p) {
-      const index_t r0 = static_cast<index_t>(p) * b;
-      const index_t nr = rows_in(p);
-      return TaskLaunch{
-          traced(graph::KernelKind::kXTY, p,
-                 [Q, z, ppart, r0, nr, p](rgt::TaskContext&) {
-                   la::MatrixView out{ppart->data() + p * ppart->cols(),
-                                      ppart->cols(), 1, 1};
-                   la::gemm_tn(1.0, Q->row_block(r0, nr),
-                               z->row_block(r0, nr), 0.0, out);
-                 }),
-          {{rQ, p, Privilege::kRead},
-           {rz, p, Privilege::kRead},
-           {rpp, p, Privilege::kWrite}},
-          "xty"};
-    });
-    rt.execute({traced(graph::KernelKind::kReduce, -1,
-                       [ppart, proj, np, kq](rgt::TaskContext&) {
-                         for (index_t c = 0; c < kq; ++c) {
-                           proj->at(c, 0) = 0.0;
-                         }
-                         for (index_t p = 0; p < np; ++p) {
-                           for (index_t c = 0; c < kq; ++c) {
-                             proj->at(c, 0) += ppart->at(p, c);
-                           }
-                         }
-                       }),
-                {{rpp, -1, Privilege::kRead},
-                 {rproj, -1, Privilege::kWrite}},
-                "reduce"});
-
-    // z -= Q proj.
-    rt.index_launch(static_cast<std::int32_t>(np), [&](std::int32_t p) {
-      const index_t r0 = static_cast<index_t>(p) * b;
-      const index_t nr = rows_in(p);
-      return TaskLaunch{
-          traced(graph::KernelKind::kXY, p,
-                 [Q, z, proj, r0, nr](rgt::TaskContext&) {
-                   la::gemm(-1.0, Q->row_block(r0, nr), proj->view(), 1.0,
-                            z->row_block(r0, nr));
-                 }),
-          {{rQ, p, Privilege::kRead},
-           {rproj, -1, Privilege::kRead},
-           {rz, p, Privilege::kReadWrite}},
-          "xy"};
-    });
-
-    // beta = || z ||.
-    rt.index_launch(static_cast<std::int32_t>(np), [&](std::int32_t p) {
-      const index_t r0 = static_cast<index_t>(p) * b;
-      const index_t nr = rows_in(p);
-      return TaskLaunch{
-          traced(graph::KernelKind::kDotPartial, p,
-                 [z, dpart, r0, nr, p](rgt::TaskContext&) {
-                   dpart->at(p, 0) = la::dot(z->row_block(r0, nr),
-                                             z->row_block(r0, nr));
-                 }),
-          {{rz, p, Privilege::kRead}, {rdp, p, Privilege::kWrite}},
-          "dot"};
-    });
-    rt.execute({traced(graph::KernelKind::kNorm, -1,
-                       [dpart, beta, np](rgt::TaskContext&) {
-                         double acc = 0.0;
-                         for (index_t p = 0; p < np; ++p) {
-                           acc += dpart->at(p, 0);
-                         }
-                         *beta = std::max(std::sqrt(acc), kBreakdownFloor);
-                       }),
-                {{rdp, -1, Privilege::kRead},
-                 {rbeta, -1, Privilege::kWrite}},
-                "norm"});
-
-    // q = z / beta; Q(:, i+1) = q.
-    const index_t col = i + 1;
-    rt.index_launch(static_cast<std::int32_t>(np), [&](std::int32_t p) {
-      const index_t r0 = static_cast<index_t>(p) * b;
-      const index_t nr = rows_in(p);
-      return TaskLaunch{
-          traced(graph::KernelKind::kScale, p,
-                 [z, q, beta, r0, nr](rgt::TaskContext&) {
-                   const double inv = 1.0 / *beta;
-                   for (index_t r = 0; r < nr; ++r) {
-                     q->at(r0 + r, 0) = z->at(r0 + r, 0) * inv;
-                   }
-                 }),
-          {{rz, p, Privilege::kRead},
-           {rbeta, -1, Privilege::kRead},
-           {rq, p, Privilege::kWrite}},
-          "scale"};
-    });
-    rt.index_launch(static_cast<std::int32_t>(np), [&](std::int32_t p) {
-      const index_t r0 = static_cast<index_t>(p) * b;
-      const index_t nr = rows_in(p);
-      return TaskLaunch{
-          traced(graph::KernelKind::kAxpy, p,
-                 [q, Q, r0, nr, col](rgt::TaskContext&) {
-                   for (index_t r = 0; r < nr; ++r) {
-                     Q->at(r0 + r, col) = q->at(r0 + r, 0);
-                   }
-                 }),
-          {{rq, p, Privilege::kRead},
-           {rQ, p, Privilege::kReadWrite}},
-          "setcol"};
-    });
-
-    rt.wait_all(); // convergence check barrier
-    iter.metric("alpha", s.proj.at(i, 0));
-    iter.metric("beta", *beta);
-    ++timing.iterations;
-    if (!accept_iteration(s.proj.at(i, 0), *beta, alphas, betas, status)) {
-      break;
-    }
-    maybe_checkpoint(options, s, alphas, betas, i + 1, every);
-  }
-  timing.total_seconds = timer.seconds();
+  LanczosScript script{options, s, alphas, betas, status,
+                       static_cast<index_t>(start) + 1};
+  const IterationTiming timing =
+      run_tasks(v, "lanczos", csb, options, start, k, script);
   return finalize(std::move(alphas), std::move(betas), status, timing);
 }
 
@@ -844,11 +312,9 @@ LanczosResult lanczos(const sparse::Csr& csr, const sparse::Csb& csb, int k,
     case Version::kLibCsb:
       return run_bsp(nullptr, csb, k, options);
     case Version::kDs:
-      return run_ds(csb, k, options);
     case Version::kFlux:
-      return run_flux(csb, k, options);
     case Version::kRgt:
-      return run_rgt(csb, k, options);
+      return run_task_version(csb, k, v, options);
   }
   throw support::Error("unknown solver version");
 }

@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <memory>
 
 #include "bsp/kernels.hpp"
-#include "ds/executor.hpp"
-#include "ds/program.hpp"
-#include "flux/dataflow.hpp"
 #include "la/eig.hpp"
 #include "obs/obs.hpp"
-#include "rgt/runtime.hpp"
 #include "solvers/checkpoint.hpp"
+#include "solvers/lowering.hpp"
 #include "support/timer.hpp"
 
 #ifdef _OPENMP
@@ -388,894 +383,121 @@ LobpcgResult run_bsp(const sparse::Csr* csr, const sparse::Csb& csb,
 }
 
 // --------------------------------------------------------------------------
-// DeepSparse version: one-iteration TDG built once, re-executed with the
-// convergence check acting as the inter-iteration barrier. Buffer rotation
-// is expressed as copy kernels so the graph stays valid across iterations.
+// Task runtimes (ds, flux, rgt): one iteration as the kernel calls of the
+// recipe in lobpcg.hpp, lowered by run_tasks(). Buffer rotation is copy
+// kernels, so every iteration issues the same calls (and ds's graph stays
+// valid across iterations).
 // --------------------------------------------------------------------------
 
-LobpcgResult run_ds(const sparse::Csb& csb, int max_iterations,
-                    const LobpcgOptions& options) {
+struct LobpcgScript {
+  const LobpcgOptions& options;
+  State& s;
+  DataId X = -1, AX = -1, W = -1, AW = -1, P = -1, AP = -1, R = -1, Xn = -1,
+         AXn = -1, Pn = -1, APn = -1;
+  DataId M = -1, RR = -1, CXW = -1, GWW = -1, WSC = -1;
+  DataId ga01 = -1, ga02 = -1, ga11 = -1, ga12 = -1, ga22 = -1;
+  DataId gb00 = -1, gb01 = -1, gb02 = -1, gb11 = -1, gb12 = -1, gb22 = -1;
+  DataId CX = -1, CW = -1, CP = -1, NRM = -1;
+
+  template <typename L>
+  void declare(L& l) {
+    Smalls& sm = s.sm;
+    X = l.vec("X", &s.X);
+    AX = l.vec("AX", &s.AX);
+    W = l.vec("W", &s.W);
+    AW = l.vec("AW", &s.AW);
+    P = l.vec("P", &s.P);
+    AP = l.vec("AP", &s.AP);
+    R = l.vec("R", &s.R);
+    Xn = l.vec("Xn", &s.Xn);
+    AXn = l.vec("AXn", &s.AXn);
+    Pn = l.vec("Pn", &s.Pn);
+    APn = l.vec("APn", &s.APn);
+    M = l.small("M", &sm.M);
+    RR = l.small("RR", &sm.RR);
+    CXW = l.small("CXW", &sm.CXW);
+    GWW = l.small("GWW", &sm.GWW);
+    WSC = l.small("WSC", &sm.WSC);
+    ga01 = l.small("ga01", &sm.ga01);
+    ga02 = l.small("ga02", &sm.ga02);
+    ga11 = l.small("ga11", &sm.ga11);
+    ga12 = l.small("ga12", &sm.ga12);
+    ga22 = l.small("ga22", &sm.ga22);
+    gb00 = l.small("gb00", &sm.gb00);
+    gb01 = l.small("gb01", &sm.gb01);
+    gb02 = l.small("gb02", &sm.gb02);
+    gb11 = l.small("gb11", &sm.gb11);
+    gb12 = l.small("gb12", &sm.gb12);
+    gb22 = l.small("gb22", &sm.gb22);
+    CX = l.small("CX", &sm.CX);
+    CW = l.small("CW", &sm.CW);
+    CP = l.small("CP", &sm.CP);
+    NRM = l.small("norms", &sm.norms);
+  }
+
+  template <typename L>
+  void issue(L& l) {
+    Smalls* smp = &s.sm;
+    const double tol = options.tolerance;
+    l.xty(X, AX, M);
+    l.copy(AX, R);
+    l.xy(X, M, R, -1.0, 1.0);
+    l.xty(R, R, RR);
+    l.small_task(graph::KernelKind::kConvCheck,
+                 [smp, tol] { body_conv_check(smp, tol); }, {RR}, {NRM});
+    l.xty(X, R, CXW);
+    l.xy(X, CXW, R, -1.0, 1.0);
+    l.xty(R, R, GWW);
+    l.small_task(graph::KernelKind::kOrtho, [smp] { body_w_normalizer(smp); },
+                 {GWW}, {WSC});
+    l.xy(R, WSC, W, 1.0, 0.0);
+    l.spmm(W, AW);
+    l.xty(X, AW, ga01);
+    l.xty(X, AP, ga02);
+    l.xty(W, AW, ga11);
+    l.xty(W, AP, ga12);
+    l.xty(P, AP, ga22);
+    l.xty(X, X, gb00);
+    l.xty(X, W, gb01);
+    l.xty(X, P, gb02);
+    l.xty(W, W, gb11);
+    l.xty(W, P, gb12);
+    l.xty(P, P, gb22);
+    l.small_task(graph::KernelKind::kOrtho, [smp] { body_rayleigh_ritz(smp); },
+                 {M, ga01, ga02, ga11, ga12, ga22, gb00, gb01, gb02, gb11,
+                  gb12, gb22},
+                 {CX, CW, CP});
+    l.xy(W, CW, Pn, 1.0, 0.0);
+    l.xy(P, CP, Pn, 1.0, 1.0);
+    l.xy(AW, CW, APn, 1.0, 0.0);
+    l.xy(AP, CP, APn, 1.0, 1.0);
+    l.xy(X, CX, Xn, 1.0, 0.0);
+    l.axpy(1.0, Pn, Xn);
+    l.xy(AX, CX, AXn, 1.0, 0.0);
+    l.axpy(1.0, APn, AXn);
+    l.copy(Xn, X);
+    l.copy(AXn, AX);
+    l.copy(Pn, P);
+    l.copy(APn, AP);
+  }
+
+  bool accept(obs::IterScope& iter, int /*it*/) {
+    note_iteration_metrics(iter, s.sm, s.n);
+    return !(s.sm.converged >= s.n || s.sm.rr_failed || s.sm.nonfinite);
+  }
+
+  void checkpoint(int completed, int every) {
+    maybe_checkpoint(options, s, completed, every);
+  }
+};
+
+LobpcgResult run_task_version(const sparse::Csb& csb, int max_iterations,
+                              Version v, const LobpcgOptions& options) {
   State s = make_state(csb, options);
-  Smalls& sm = s.sm;
-  Smalls* smp = &sm;
   const int start = apply_restore(options, s);
-  const int every = ckpt::effective_every(options.ckpt_every);
-
-  ds::Program prog(&csb, {.skip_empty_blocks = options.skip_empty_blocks,
-                          .dependency_based_spmm =
-                              options.dependency_based_spmm,
-                          .spmm_buffers =
-                              static_cast<std::int32_t>(options.threads)});
-  const ds::DataId X = prog.vec("X", &s.X);
-  const ds::DataId AX = prog.vec("AX", &s.AX);
-  const ds::DataId W = prog.vec("W", &s.W);
-  const ds::DataId AW = prog.vec("AW", &s.AW);
-  const ds::DataId P = prog.vec("P", &s.P);
-  const ds::DataId AP = prog.vec("AP", &s.AP);
-  const ds::DataId R = prog.vec("R", &s.R);
-  const ds::DataId Xn = prog.vec("Xn", &s.Xn);
-  const ds::DataId AXn = prog.vec("AXn", &s.AXn);
-  const ds::DataId Pn = prog.vec("Pn", &s.Pn);
-  const ds::DataId APn = prog.vec("APn", &s.APn);
-  const ds::DataId M = prog.small("M", &sm.M);
-  const ds::DataId RR = prog.small("RR", &sm.RR);
-  const ds::DataId CXW = prog.small("CXW", &sm.CXW);
-  const ds::DataId GWW = prog.small("GWW", &sm.GWW);
-  const ds::DataId WSC = prog.small("WSC", &sm.WSC);
-  const ds::DataId ga01 = prog.small("ga01", &sm.ga01);
-  const ds::DataId ga02 = prog.small("ga02", &sm.ga02);
-  const ds::DataId ga11 = prog.small("ga11", &sm.ga11);
-  const ds::DataId ga12 = prog.small("ga12", &sm.ga12);
-  const ds::DataId ga22 = prog.small("ga22", &sm.ga22);
-  const ds::DataId gb00 = prog.small("gb00", &sm.gb00);
-  const ds::DataId gb01 = prog.small("gb01", &sm.gb01);
-  const ds::DataId gb02 = prog.small("gb02", &sm.gb02);
-  const ds::DataId gb11 = prog.small("gb11", &sm.gb11);
-  const ds::DataId gb12 = prog.small("gb12", &sm.gb12);
-  const ds::DataId gb22 = prog.small("gb22", &sm.gb22);
-  const ds::DataId CXid = prog.small("CX", &sm.CX);
-  const ds::DataId CWid = prog.small("CW", &sm.CW);
-  const ds::DataId CPid = prog.small("CP", &sm.CP);
-  const ds::DataId NRM = prog.small("norms", &sm.norms);
-
-  IterationTiming timing;
-  const support::Timer build_timer;
-  const double tol = options.tolerance;
-
-  prog.xty(X, AX, M);
-  prog.copy(AX, R);
-  prog.xy(X, M, R, -1.0, 1.0);
-  prog.xty(R, R, RR);
-  prog.small_task(graph::KernelKind::kConvCheck,
-                  [smp, tol] { body_conv_check(smp, tol); }, {RR}, {NRM});
-  prog.xty(X, R, CXW);
-  prog.xy(X, CXW, R, -1.0, 1.0);
-  prog.xty(R, R, GWW);
-  prog.small_task(graph::KernelKind::kOrtho,
-                  [smp] { body_w_normalizer(smp); }, {GWW}, {WSC});
-  prog.xy(R, WSC, W, 1.0, 0.0);
-  prog.spmm(W, AW);
-  prog.xty(X, AW, ga01);
-  prog.xty(X, AP, ga02);
-  prog.xty(W, AW, ga11);
-  prog.xty(W, AP, ga12);
-  prog.xty(P, AP, ga22);
-  prog.xty(X, X, gb00);
-  prog.xty(X, W, gb01);
-  prog.xty(X, P, gb02);
-  prog.xty(W, W, gb11);
-  prog.xty(W, P, gb12);
-  prog.xty(P, P, gb22);
-  prog.small_task(graph::KernelKind::kOrtho,
-                  [smp] { body_rayleigh_ritz(smp); },
-                  {M, ga01, ga02, ga11, ga12, ga22, gb00, gb01, gb02, gb11,
-                   gb12, gb22},
-                  {CXid, CWid, CPid});
-  prog.xy(W, CWid, Pn, 1.0, 0.0);
-  prog.xy(P, CPid, Pn, 1.0, 1.0);
-  prog.xy(AW, CWid, APn, 1.0, 0.0);
-  prog.xy(AP, CPid, APn, 1.0, 1.0);
-  prog.xy(X, CXid, Xn, 1.0, 0.0);
-  prog.axpy(1.0, Pn, Xn);
-  prog.xy(AX, CXid, AXn, 1.0, 0.0);
-  prog.axpy(1.0, APn, AXn);
-  prog.copy(Xn, X);
-  prog.copy(AXn, AX);
-  prog.copy(Pn, P);
-  prog.copy(APn, AP);
-  const graph::Tdg graph = prog.build();
-  timing.graph_build_seconds = build_timer.seconds();
-
-  const ds::ExecOptions exec{.mode = ds::ExecMode::kOmpTasks,
-                             .trace = options.trace};
-  const support::Timer timer;
-  for (int it = start; it < max_iterations; ++it) {
-    poll_cancel(options);
-    obs::IterScope iter("lobpcg.ds", it);
-    ds::execute(graph, exec);
-    note_iteration_metrics(iter, sm, s.n);
-    ++timing.iterations;
-    if (sm.converged >= s.n || sm.rr_failed || sm.nonfinite) break;
-    maybe_checkpoint(options, s, it + 1, every);
-  }
-  timing.total_seconds = timer.seconds();
-  return finalize(s, timing);
-}
-
-// --------------------------------------------------------------------------
-// flux (HPX-style) version.
-//
-// Dependence threading is expressed with the helper structs below: per
-// vector piece we keep the last-write future and the reader futures since
-// that write (the discipline an HPX programmer applies by hand in Listing
-// 2; centralizing it keeps the 30-kernel pipeline readable).
-// --------------------------------------------------------------------------
-
-using Fut = flux::shared_future<void>;
-
-struct FluxVec {
-  DenseMatrix* data = nullptr;
-  std::vector<Fut> w;
-  std::vector<std::vector<Fut>> r;
-
-  FluxVec() = default;
-  FluxVec(DenseMatrix* d, index_t np)
-      : data(d), w(static_cast<std::size_t>(np), flux::make_ready_future()),
-        r(static_cast<std::size_t>(np)) {}
-
-  void read_deps(index_t p, std::vector<Fut>& deps) const {
-    deps.push_back(w[static_cast<std::size_t>(p)]);
-  }
-  void write_deps(index_t p, std::vector<Fut>& deps) const {
-    deps.push_back(w[static_cast<std::size_t>(p)]);
-    for (const Fut& f : r[static_cast<std::size_t>(p)]) deps.push_back(f);
-  }
-  void note_read(index_t p, const Fut& f) {
-    r[static_cast<std::size_t>(p)].push_back(f);
-  }
-  void note_write(index_t p, const Fut& f) {
-    w[static_cast<std::size_t>(p)] = f;
-    r[static_cast<std::size_t>(p)].clear();
-  }
-};
-
-struct FluxSmall {
-  DenseMatrix* data = nullptr;
-  Fut w = flux::make_ready_future();
-  std::vector<Fut> r;
-
-  void read_deps(std::vector<Fut>& deps) const { deps.push_back(w); }
-  void write_deps(std::vector<Fut>& deps) const {
-    deps.push_back(w);
-    for (const Fut& f : r) deps.push_back(f);
-  }
-  void note_read(const Fut& f) { r.push_back(f); }
-  void note_write(const Fut& f) {
-    w = f;
-    r.clear();
-  }
-};
-
-class FluxLobpcg {
-public:
-  FluxLobpcg(State* s, const sparse::Csb* a, const LobpcgOptions& options)
-      : s_(s), a_(a), opts_(options),
-        np_(a->block_rows()), b_(a->block_size()),
-        dmap_(a->partition_block_rows(options.numa_domains)),
-        sched_(&acquire_flux_pool(options, owned_sched_)) {}
-
-  flux::Scheduler& scheduler() { return *sched_; }
-
-  FluxVec& vec(DenseMatrix* d) {
-    vecs_.emplace_back(d, np_);
-    return vecs_.back();
-  }
-  FluxSmall& small(DenseMatrix* d) {
-    smalls_.push_back(FluxSmall{});
-    smalls_.back().data = d;
-    return smalls_.back();
-  }
-
-  // Hints reuse place_stripes' deterministic nnz-balanced stripe map, so a
-  // hinted task lands on the node whose memory holds its block row.
-  int domain_of(index_t p) const {
-    return opts_.numa_domains > 1 ? dmap_.owner(p) : -1;
-  }
-  index_t rows_in(index_t p) const {
-    return std::min(b_, s_->m - p * b_);
-  }
-
-  template <typename Fn>
-  auto traced(graph::KernelKind kind, std::int32_t id, Fn fn) {
-    perf::TraceRecorder* trace = opts_.trace;
-    flux::Scheduler* sched = sched_;
-    return [trace, sched, kind, id, fn]() {
-      const obs::prof::TaskMark mark("flux", kind);
-      if (trace == nullptr && !obs::task_timing_enabled()) {
-        fn();
-        return;
-      }
-      perf::TaskEvent ev;
-      ev.kind = kind;
-      ev.task_id = id;
-      ev.worker = std::max(0, sched->current_worker());
-      ev.start_ns = support::now_ns();
-      fn();
-      ev.end_ns = support::now_ns();
-      obs::publish_task("flux", ev, trace);
-    };
-  }
-
-  template <typename Fn>
-  Fut launch(graph::KernelKind kind, std::int32_t id, int domain,
-             std::vector<Fut> deps, Fn fn) {
-    return flux::dataflow_hint(*sched_, domain,
-                               flux::unwrapping(traced(kind, id, fn)),
-                               std::move(deps))
-        .share();
-  }
-
-  /// y = A * x (dependency-based chains per output piece).
-  void spmm(FluxVec& x, FluxVec& y) {
-    const sparse::Csb* a = a_;
-    for (index_t bi = 0; bi < np_; ++bi) {
-      std::vector<Fut> deps;
-      y.write_deps(bi, deps);
-      DenseMatrix* yd = y.data;
-      Fut f = launch(graph::KernelKind::kZero,
-                     static_cast<std::int32_t>(bi), domain_of(bi),
-                     std::move(deps),
-                     [a, yd, bi] { sparse::csb_block_zero(*a, bi, yd->view()); });
-      y.note_write(bi, f);
-    }
-    for (index_t bi = 0; bi < np_; ++bi) {
-      for (index_t bj = 0; bj < np_; ++bj) {
-        if (opts_.skip_empty_blocks && a_->block_empty(bi, bj)) continue;
-        std::vector<Fut> deps;
-        x.read_deps(bj, deps);
-        y.write_deps(bi, deps);
-        DenseMatrix* xd = x.data;
-        DenseMatrix* yd = y.data;
-        Fut f = launch(graph::KernelKind::kSpMM,
-                       static_cast<std::int32_t>(bi), domain_of(bi),
-                       std::move(deps), [a, xd, yd, bi, bj] {
-                         sparse::csb_block_spmm(*a, bi, bj, xd->view(),
-                                                yd->view());
-                       });
-        x.note_read(bj, f);
-        y.note_write(bi, f);
-      }
-    }
-  }
-
-  /// y = alpha * x * z + beta * y.
-  void xy(FluxVec& x, FluxSmall& z, FluxVec& y, double alpha, double beta) {
-    for (index_t p = 0; p < np_; ++p) {
-      std::vector<Fut> deps;
-      x.read_deps(p, deps);
-      z.read_deps(deps);
-      y.write_deps(p, deps);
-      DenseMatrix* xd = x.data;
-      DenseMatrix* zd = z.data;
-      DenseMatrix* yd = y.data;
-      const index_t r0 = p * b_;
-      const index_t nr = rows_in(p);
-      Fut f = launch(graph::KernelKind::kXY, static_cast<std::int32_t>(p),
-                     domain_of(p), std::move(deps),
-                     [xd, zd, yd, r0, nr, alpha, beta] {
-                       la::gemm(alpha, xd->row_block(r0, nr), zd->view(),
-                                beta, yd->row_block(r0, nr));
-                     });
-      x.note_read(p, f);
-      z.note_read(f);
-      y.note_write(p, f);
-    }
-  }
-
-  /// Resets the per-iteration partial-buffer cursor so xty call sites reuse
-  /// their buffers across iterations instead of allocating fresh ones.
-  void begin_iteration() { xty_cursor_ = 0; }
-
-  /// p_out = x^T y via partials + reduce. Each call site reuses the same
-  /// partial buffer across iterations; the buffer is dependence-tracked
-  /// like any other vector so the next iteration's partial writes wait for
-  /// this iteration's reduce to have read them.
-  void xty(FluxVec& x, FluxVec& y, FluxSmall& p_out) {
-    const index_t pr = x.data->cols();
-    const index_t pc = y.data->cols();
-    if (xty_cursor_ == partials_.size()) {
-      partial_storage_.push_back(
-          std::make_unique<DenseMatrix>(np_, pr * pc));
-      partials_.emplace_back(partial_storage_.back().get(), np_);
-    }
-    FluxVec& part_vec = partials_[xty_cursor_++];
-    DenseMatrix* part = part_vec.data;
-    STS_ASSERT(part->cols() == pr * pc);
-    for (index_t p = 0; p < np_; ++p) {
-      std::vector<Fut> deps;
-      x.read_deps(p, deps);
-      if (&x != &y) y.read_deps(p, deps);
-      part_vec.write_deps(p, deps);
-      DenseMatrix* xd = x.data;
-      DenseMatrix* yd = y.data;
-      const index_t r0 = p * b_;
-      const index_t nr = rows_in(p);
-      Fut f = launch(graph::KernelKind::kXTY, static_cast<std::int32_t>(p),
-                     domain_of(p), std::move(deps),
-                     [xd, yd, part, r0, nr, p, pr, pc] {
-                       la::MatrixView out{part->data() + p * pr * pc, pr, pc,
-                                          pc};
-                       la::gemm_tn(1.0, xd->row_block(r0, nr),
-                                   yd->row_block(r0, nr), 0.0, out);
-                     });
-      x.note_read(p, f);
-      if (&x != &y) y.note_read(p, f);
-      part_vec.note_write(p, f);
-    }
-    std::vector<Fut> deps;
-    p_out.write_deps(deps);
-    for (index_t p = 0; p < np_; ++p) part_vec.read_deps(p, deps);
-    DenseMatrix* dst = p_out.data;
-    const index_t np = np_;
-    Fut red = launch(graph::KernelKind::kReduce, -1, -1, std::move(deps),
-                     [part, dst, np, pr, pc] {
-                       for (index_t i = 0; i < pr; ++i) {
-                         for (index_t j = 0; j < pc; ++j) dst->at(i, j) = 0.0;
-                       }
-                       for (index_t p = 0; p < np; ++p) {
-                         la::ConstMatrixView v{part->data() + p * pr * pc, pr,
-                                               pc, pc};
-                         la::axpy(1.0, v, dst->view());
-                       }
-                     });
-    for (index_t p = 0; p < np_; ++p) part_vec.note_read(p, red);
-    p_out.note_write(red);
-  }
-
-  void axpy(double alpha, FluxVec& x, FluxVec& y) {
-    for (index_t p = 0; p < np_; ++p) {
-      std::vector<Fut> deps;
-      x.read_deps(p, deps);
-      y.write_deps(p, deps);
-      DenseMatrix* xd = x.data;
-      DenseMatrix* yd = y.data;
-      const index_t r0 = p * b_;
-      const index_t nr = rows_in(p);
-      Fut f = launch(graph::KernelKind::kAxpy, static_cast<std::int32_t>(p),
-                     domain_of(p), std::move(deps), [xd, yd, r0, nr, alpha] {
-                       la::axpy(alpha, xd->row_block(r0, nr),
-                                yd->row_block(r0, nr));
-                     });
-      x.note_read(p, f);
-      y.note_write(p, f);
-    }
-  }
-
-  void copy(FluxVec& x, FluxVec& y) {
-    for (index_t p = 0; p < np_; ++p) {
-      std::vector<Fut> deps;
-      x.read_deps(p, deps);
-      y.write_deps(p, deps);
-      DenseMatrix* xd = x.data;
-      DenseMatrix* yd = y.data;
-      const index_t r0 = p * b_;
-      const index_t nr = rows_in(p);
-      Fut f = launch(graph::KernelKind::kAxpy, static_cast<std::int32_t>(p),
-                     domain_of(p), std::move(deps), [xd, yd, r0, nr] {
-                       la::copy(xd->row_block(r0, nr), yd->row_block(r0, nr));
-                     });
-      x.note_read(p, f);
-      y.note_write(p, f);
-    }
-  }
-
-  template <typename Fn>
-  Fut small_op(graph::KernelKind kind, std::vector<FluxSmall*> reads,
-               std::vector<FluxSmall*> writes, Fn fn) {
-    std::vector<Fut> deps;
-    for (FluxSmall* r : reads) r->read_deps(deps);
-    for (FluxSmall* w : writes) w->write_deps(deps);
-    Fut f = launch(kind, -1, -1, std::move(deps), fn);
-    for (FluxSmall* r : reads) r->note_read(f);
-    for (FluxSmall* w : writes) w->note_write(f);
-    return f;
-  }
-
-private:
-  State* s_;
-  const sparse::Csb* a_;
-  LobpcgOptions opts_;
-  index_t np_;
-  index_t b_;
-  sparse::Csb::DomainMap dmap_; // stripe owners, shared with place_stripes
-  std::unique_ptr<flux::Scheduler> owned_sched_; // empty when pool is shared
-  flux::Scheduler* sched_;
-  // deques: vec()/small() hand out references that must stay valid as more
-  // structures are registered.
-  std::deque<FluxVec> vecs_;
-  std::deque<FluxSmall> smalls_;
-  std::vector<std::unique_ptr<DenseMatrix>> partial_storage_;
-  std::deque<FluxVec> partials_;
-  std::size_t xty_cursor_ = 0;
-};
-
-LobpcgResult run_flux(const sparse::Csb& csb, int max_iterations,
-                      const LobpcgOptions& options) {
-  State s = make_state(csb, options);
-  Smalls& sm = s.sm;
-  Smalls* smp = &sm;
-  const int start = apply_restore(options, s);
-  const int every = ckpt::effective_every(options.ckpt_every);
-  FluxLobpcg fx(&s, &csb, options);
-
-  FluxVec& X = fx.vec(&s.X);
-  FluxVec& AX = fx.vec(&s.AX);
-  FluxVec& W = fx.vec(&s.W);
-  FluxVec& AW = fx.vec(&s.AW);
-  FluxVec& P = fx.vec(&s.P);
-  FluxVec& AP = fx.vec(&s.AP);
-  FluxVec& R = fx.vec(&s.R);
-  FluxVec& Xn = fx.vec(&s.Xn);
-  FluxVec& AXn = fx.vec(&s.AXn);
-  FluxVec& Pn = fx.vec(&s.Pn);
-  FluxVec& APn = fx.vec(&s.APn);
-  FluxSmall& M = fx.small(&sm.M);
-  FluxSmall& RR = fx.small(&sm.RR);
-  FluxSmall& CXW = fx.small(&sm.CXW);
-  FluxSmall& GWW = fx.small(&sm.GWW);
-  FluxSmall& WSC = fx.small(&sm.WSC);
-  FluxSmall& ga01 = fx.small(&sm.ga01);
-  FluxSmall& ga02 = fx.small(&sm.ga02);
-  FluxSmall& ga11 = fx.small(&sm.ga11);
-  FluxSmall& ga12 = fx.small(&sm.ga12);
-  FluxSmall& ga22 = fx.small(&sm.ga22);
-  FluxSmall& gb00 = fx.small(&sm.gb00);
-  FluxSmall& gb01 = fx.small(&sm.gb01);
-  FluxSmall& gb02 = fx.small(&sm.gb02);
-  FluxSmall& gb11 = fx.small(&sm.gb11);
-  FluxSmall& gb12 = fx.small(&sm.gb12);
-  FluxSmall& gb22 = fx.small(&sm.gb22);
-  FluxSmall& CX = fx.small(&sm.CX);
-  FluxSmall& CW = fx.small(&sm.CW);
-  FluxSmall& CP = fx.small(&sm.CP);
-  FluxSmall& NRM = fx.small(&sm.norms);
-
-  // Unwind (cancellation, task fault) must not outrun in-flight tasks that
-  // reference the local State — quiesce first, especially on shared pools.
-  flux::QuiesceOnExit quiesce(fx.scheduler());
-
-  const double tol = options.tolerance;
-  IterationTiming timing;
-  const support::Timer timer;
-  for (int it = start; it < max_iterations; ++it) {
-    poll_cancel(options);
-    // Driver-side span: submission through the convergence-check get; the
-    // tail kernels of the iteration may still be in flight on the workers.
-    obs::IterScope iter("lobpcg.flux", it);
-    fx.begin_iteration();
-    fx.xty(X, AX, M);
-    fx.copy(AX, R);
-    fx.xy(X, M, R, -1.0, 1.0);
-    fx.xty(R, R, RR);
-    Fut conv = fx.small_op(graph::KernelKind::kConvCheck, {&RR}, {&NRM},
-                           [smp, tol] { body_conv_check(smp, tol); });
-    fx.xty(X, R, CXW);
-    fx.xy(X, CXW, R, -1.0, 1.0);
-    fx.xty(R, R, GWW);
-    fx.small_op(graph::KernelKind::kOrtho, {&GWW}, {&WSC},
-                [smp] { body_w_normalizer(smp); });
-    fx.xy(R, WSC, W, 1.0, 0.0);
-    fx.spmm(W, AW);
-    fx.xty(X, AW, ga01);
-    fx.xty(X, AP, ga02);
-    fx.xty(W, AW, ga11);
-    fx.xty(W, AP, ga12);
-    fx.xty(P, AP, ga22);
-    fx.xty(X, X, gb00);
-    fx.xty(X, W, gb01);
-    fx.xty(X, P, gb02);
-    fx.xty(W, W, gb11);
-    fx.xty(W, P, gb12);
-    fx.xty(P, P, gb22);
-    fx.small_op(graph::KernelKind::kOrtho,
-                {&M, &ga01, &ga02, &ga11, &ga12, &ga22, &gb00, &gb01, &gb02,
-                 &gb11, &gb12, &gb22},
-                {&CX, &CW, &CP}, [smp] { body_rayleigh_ritz(smp); });
-    fx.xy(W, CW, Pn, 1.0, 0.0);
-    fx.xy(P, CP, Pn, 1.0, 1.0);
-    fx.xy(AW, CW, APn, 1.0, 0.0);
-    fx.xy(AP, CP, APn, 1.0, 1.0);
-    fx.xy(X, CX, Xn, 1.0, 0.0);
-    fx.axpy(1.0, Pn, Xn);
-    fx.xy(AX, CX, AXn, 1.0, 0.0);
-    fx.axpy(1.0, APn, AXn);
-    fx.copy(Xn, X);
-    fx.copy(AXn, AX);
-    fx.copy(Pn, P);
-    fx.copy(APn, AP);
-
-    conv.get(&fx.scheduler()); // per-iteration convergence check
-    note_iteration_metrics(iter, sm, s.n);
-    ++timing.iterations;
-    if (sm.converged >= s.n || sm.rr_failed || sm.nonfinite) break;
-    // Checkpointing needs the tail copy kernels drained, not just the
-    // convergence get — quiesce first, and only when a write is due.
-    if (!options.ckpt_path.empty() && (it + 1) % every == 0) {
-      fx.scheduler().wait_for_quiescence();
-      maybe_checkpoint(options, s, it + 1, every);
-    }
-  }
-  quiesce.dismiss();
-  fx.scheduler().wait_for_quiescence();
-  timing.total_seconds = timer.seconds();
-  return finalize(s, timing);
-}
-
-// --------------------------------------------------------------------------
-// rgt (Regent-style) version: the runtime's dependence analysis replaces
-// the future threading; the driver reads like Listing 3.
-// --------------------------------------------------------------------------
-
-class RgtLobpcg {
-public:
-  RgtLobpcg(State* s, const sparse::Csb* a, const LobpcgOptions& options)
-      : s_(s), a_(a), opts_(options), np_(a->block_rows()),
-        b_(a->block_size()),
-        rt_({.cpu_workers = options.threads,
-             .util_threads = 1,
-             .verify_index_launches = false,
-             .window = 4096}) {}
-
-  rgt::Runtime& runtime() { return rt_; }
-
-  struct Vec {
-    DenseMatrix* data;
-    rgt::RegionId region;
-  };
-  struct Small {
-    DenseMatrix* data;
-    rgt::RegionId region;
-  };
-
-  Vec vec(const char* name, DenseMatrix* d) {
-    const rgt::RegionId r = rt_.register_region(d->flat(), name);
-    rt_.partition_equal(r, static_cast<std::int32_t>(np_));
-    return {d, r};
-  }
-  Small small(const char* name, DenseMatrix* d) {
-    return {d, rt_.register_region(d->flat(), name)};
-  }
-
-  index_t rows_in(index_t p) const { return std::min(b_, s_->m - p * b_); }
-
-  template <typename Fn>
-  rgt::TaskBody traced(graph::KernelKind kind, std::int32_t id, Fn fn) {
-    perf::TraceRecorder* trace = opts_.trace;
-    return [trace, kind, id, fn](rgt::TaskContext& ctx) {
-      const obs::prof::TaskMark mark("rgt", kind);
-      if (trace == nullptr && !obs::task_timing_enabled()) {
-        fn(ctx);
-        return;
-      }
-      perf::TaskEvent ev;
-      ev.kind = kind;
-      ev.task_id = id;
-      ev.worker = std::max(0, ctx.worker());
-      ev.start_ns = support::now_ns();
-      fn(ctx);
-      ev.end_ns = support::now_ns();
-      obs::publish_task("rgt", ev, trace);
-    };
-  }
-
-  void spmm(Vec& x, Vec& y) {
-    const sparse::Csb* a = a_;
-    if (opts_.dependency_based_spmm) {
-      for (index_t bi = 0; bi < np_; ++bi) {
-        DenseMatrix* yd = y.data;
-        rt_.execute({traced(graph::KernelKind::kZero,
-                            static_cast<std::int32_t>(bi),
-                            [a, yd, bi](rgt::TaskContext&) {
-                              sparse::csb_block_zero(*a, bi, yd->view());
-                            }),
-                     {{y.region, static_cast<std::int32_t>(bi),
-                       rgt::Privilege::kWrite}},
-                     "zero"});
-      }
-      for (index_t bi = 0; bi < np_; ++bi) {
-        for (index_t bj = 0; bj < np_; ++bj) {
-          if (opts_.skip_empty_blocks && a->block_empty(bi, bj)) continue;
-          DenseMatrix* xd = x.data;
-          DenseMatrix* yd = y.data;
-          rt_.execute({traced(graph::KernelKind::kSpMM,
-                              static_cast<std::int32_t>(bi),
-                              [a, xd, yd, bi, bj](rgt::TaskContext&) {
-                                sparse::csb_block_spmm(*a, bi, bj, xd->view(),
-                                                       yd->view());
-                              }),
-                       {{x.region, static_cast<std::int32_t>(bj),
-                         rgt::Privilege::kRead},
-                        {y.region, static_cast<std::int32_t>(bi),
-                         rgt::Privilege::kReadWrite}},
-                       "spmm"});
-        }
-      }
-    } else {
-      DenseMatrix* yd = y.data;
-      rt_.execute({traced(graph::KernelKind::kZero, -1,
-                          [yd](rgt::TaskContext&) { yd->fill(0.0); }),
-                   {{y.region, -1, rgt::Privilege::kWrite}},
-                   "zero"});
-      for (index_t bi = 0; bi < np_; ++bi) {
-        for (index_t bj = 0; bj < np_; ++bj) {
-          if (opts_.skip_empty_blocks && a->block_empty(bi, bj)) continue;
-          DenseMatrix* xd = x.data;
-          const rgt::RegionId yr = y.region;
-          const index_t m = s_->m;
-          const index_t n = s_->n;
-          rt_.execute(
-              {traced(graph::KernelKind::kSpMM,
-                      static_cast<std::int32_t>(bi),
-                      [a, xd, yr, bi, bj, m, n](rgt::TaskContext& ctx) {
-                        std::span<double> buf = ctx.reduce_target(yr);
-                        la::MatrixView out{buf.data(), m, n, n};
-                        sparse::csb_block_spmm(*a, bi, bj, xd->view(), out);
-                      }),
-               {{x.region, static_cast<std::int32_t>(bj),
-                 rgt::Privilege::kRead},
-                {yr, -1, rgt::Privilege::kReduce}},
-               "spmm-reduce"});
-        }
-      }
-    }
-  }
-
-  void xy(Vec& x, Small& z, Vec& y, double alpha, double beta) {
-    DenseMatrix* xd = x.data;
-    DenseMatrix* zd = z.data;
-    DenseMatrix* yd = y.data;
-    const index_t b = b_;
-    rt_.index_launch(static_cast<std::int32_t>(np_), [&, xd, zd, yd,
-                                                      b](std::int32_t p) {
-      const index_t r0 = static_cast<index_t>(p) * b;
-      const index_t nr = rows_in(p);
-      return rgt::TaskLaunch{
-          traced(graph::KernelKind::kXY, p,
-                 [xd, zd, yd, r0, nr, alpha, beta](rgt::TaskContext&) {
-                   la::gemm(alpha, xd->row_block(r0, nr), zd->view(), beta,
-                            yd->row_block(r0, nr));
-                 }),
-          {{x.region, p, rgt::Privilege::kRead},
-           {z.region, -1, rgt::Privilege::kRead},
-           {y.region, p,
-            beta == 0.0 ? rgt::Privilege::kWrite
-                        : rgt::Privilege::kReadWrite}},
-          "xy"};
-    });
-  }
-
-  /// Resets the partial-buffer cursor at the top of each iteration so call
-  /// sites reuse buffers (and their regions) across iterations.
-  void begin_iteration() { xty_cursor_ = 0; }
-
-  void xty(Vec& x, Vec& y, Small& p_out) {
-    const index_t pr = x.data->cols();
-    const index_t pc = y.data->cols();
-    if (xty_cursor_ == partials_.size()) {
-      auto buf = std::make_unique<DenseMatrix>(np_, pr * pc);
-      const rgt::RegionId region =
-          rt_.register_region(buf->flat(), "xty_part");
-      rt_.partition_equal(region, static_cast<std::int32_t>(np_));
-      partials_.push_back({std::move(buf), region});
-    }
-    DenseMatrix* part = partials_[xty_cursor_].buf.get();
-    const rgt::RegionId rpart = partials_[xty_cursor_].region;
-    ++xty_cursor_;
-    STS_ASSERT(part->cols() == pr * pc);
-    DenseMatrix* xd = x.data;
-    DenseMatrix* yd = y.data;
-    const index_t b = b_;
-    const bool same = xd == yd;
-    rt_.index_launch(static_cast<std::int32_t>(np_), [&, xd, yd, part, b, pr,
-                                                      pc, same,
-                                                      rpart](std::int32_t p) {
-      const index_t r0 = static_cast<index_t>(p) * b;
-      const index_t nr = rows_in(p);
-      std::vector<rgt::RegionReq> reqs = {
-          {x.region, p, rgt::Privilege::kRead},
-          {rpart, p, rgt::Privilege::kWrite}};
-      if (!same) reqs.push_back({y.region, p, rgt::Privilege::kRead});
-      return rgt::TaskLaunch{
-          traced(graph::KernelKind::kXTY, p,
-                 [xd, yd, part, r0, nr, p, pr, pc](rgt::TaskContext&) {
-                   la::MatrixView out{part->data() + p * pr * pc, pr, pc, pc};
-                   la::gemm_tn(1.0, xd->row_block(r0, nr),
-                               yd->row_block(r0, nr), 0.0, out);
-                 }),
-          std::move(reqs), "xty"};
-    });
-    DenseMatrix* dst = p_out.data;
-    const index_t np = np_;
-    rt_.execute({traced(graph::KernelKind::kReduce, -1,
-                        [part, dst, np, pr, pc](rgt::TaskContext&) {
-                          for (index_t i = 0; i < pr; ++i) {
-                            for (index_t j = 0; j < pc; ++j) {
-                              dst->at(i, j) = 0.0;
-                            }
-                          }
-                          for (index_t p = 0; p < np; ++p) {
-                            la::ConstMatrixView v{part->data() + p * pr * pc,
-                                                  pr, pc, pc};
-                            la::axpy(1.0, v, dst->view());
-                          }
-                        }),
-                 {{rpart, -1, rgt::Privilege::kRead},
-                  {p_out.region, -1, rgt::Privilege::kWrite}},
-                 "reduce"});
-  }
-
-  void axpy(double alpha, Vec& x, Vec& y) {
-    DenseMatrix* xd = x.data;
-    DenseMatrix* yd = y.data;
-    const index_t b = b_;
-    rt_.index_launch(static_cast<std::int32_t>(np_), [&, xd, yd,
-                                                      b](std::int32_t p) {
-      const index_t r0 = static_cast<index_t>(p) * b;
-      const index_t nr = rows_in(p);
-      return rgt::TaskLaunch{
-          traced(graph::KernelKind::kAxpy, p,
-                 [xd, yd, r0, nr, alpha](rgt::TaskContext&) {
-                   la::axpy(alpha, xd->row_block(r0, nr),
-                            yd->row_block(r0, nr));
-                 }),
-          {{x.region, p, rgt::Privilege::kRead},
-           {y.region, p, rgt::Privilege::kReadWrite}},
-          "axpy"};
-    });
-  }
-
-  void copy(Vec& x, Vec& y) {
-    DenseMatrix* xd = x.data;
-    DenseMatrix* yd = y.data;
-    const index_t b = b_;
-    rt_.index_launch(static_cast<std::int32_t>(np_), [&, xd, yd,
-                                                      b](std::int32_t p) {
-      const index_t r0 = static_cast<index_t>(p) * b;
-      const index_t nr = rows_in(p);
-      return rgt::TaskLaunch{
-          traced(graph::KernelKind::kAxpy, p,
-                 [xd, yd, r0, nr](rgt::TaskContext&) {
-                   la::copy(xd->row_block(r0, nr), yd->row_block(r0, nr));
-                 }),
-          {{x.region, p, rgt::Privilege::kRead},
-           {y.region, p, rgt::Privilege::kWrite}},
-          "copy"};
-    });
-  }
-
-  template <typename Fn>
-  void small_op(graph::KernelKind kind, std::vector<Small*> reads,
-                std::vector<Small*> writes, Fn fn) {
-    std::vector<rgt::RegionReq> reqs;
-    for (Small* r : reads) reqs.push_back({r->region, -1, rgt::Privilege::kRead});
-    for (Small* w : writes) {
-      reqs.push_back({w->region, -1, rgt::Privilege::kReadWrite});
-    }
-    rt_.execute({traced(kind, -1, [fn](rgt::TaskContext&) { fn(); }),
-                 std::move(reqs), "small"});
-  }
-
-private:
-  State* s_;
-  const sparse::Csb* a_;
-  LobpcgOptions opts_;
-  index_t np_;
-  index_t b_;
-  rgt::Runtime rt_;
-  struct Partial {
-    std::unique_ptr<DenseMatrix> buf;
-    rgt::RegionId region;
-  };
-  std::vector<Partial> partials_;
-  std::size_t xty_cursor_ = 0;
-};
-
-LobpcgResult run_rgt(const sparse::Csb& csb, int max_iterations,
-                     const LobpcgOptions& options) {
-  State s = make_state(csb, options);
-  Smalls& sm = s.sm;
-  Smalls* smp = &sm;
-  const int start = apply_restore(options, s);
-  const int every = ckpt::effective_every(options.ckpt_every);
-  RgtLobpcg rg(&s, &csb, options);
-
-  auto X = rg.vec("X", &s.X);
-  auto AX = rg.vec("AX", &s.AX);
-  auto W = rg.vec("W", &s.W);
-  auto AW = rg.vec("AW", &s.AW);
-  auto P = rg.vec("P", &s.P);
-  auto AP = rg.vec("AP", &s.AP);
-  auto R = rg.vec("R", &s.R);
-  auto Xn = rg.vec("Xn", &s.Xn);
-  auto AXn = rg.vec("AXn", &s.AXn);
-  auto Pn = rg.vec("Pn", &s.Pn);
-  auto APn = rg.vec("APn", &s.APn);
-  auto M = rg.small("M", &sm.M);
-  auto RR = rg.small("RR", &sm.RR);
-  auto CXW = rg.small("CXW", &sm.CXW);
-  auto GWW = rg.small("GWW", &sm.GWW);
-  auto WSC = rg.small("WSC", &sm.WSC);
-  auto ga01 = rg.small("ga01", &sm.ga01);
-  auto ga02 = rg.small("ga02", &sm.ga02);
-  auto ga11 = rg.small("ga11", &sm.ga11);
-  auto ga12 = rg.small("ga12", &sm.ga12);
-  auto ga22 = rg.small("ga22", &sm.ga22);
-  auto gb00 = rg.small("gb00", &sm.gb00);
-  auto gb01 = rg.small("gb01", &sm.gb01);
-  auto gb02 = rg.small("gb02", &sm.gb02);
-  auto gb11 = rg.small("gb11", &sm.gb11);
-  auto gb12 = rg.small("gb12", &sm.gb12);
-  auto gb22 = rg.small("gb22", &sm.gb22);
-  auto CX = rg.small("CX", &sm.CX);
-  auto CW = rg.small("CW", &sm.CW);
-  auto CP = rg.small("CP", &sm.CP);
-  auto NRM = rg.small("norms", &sm.norms);
-
-  const double tol = options.tolerance;
-  IterationTiming timing;
-  const support::Timer timer;
-  for (int it = start; it < max_iterations; ++it) {
-    poll_cancel(options);
-    obs::IterScope iter("lobpcg.rgt", it);
-    rg.begin_iteration();
-    rg.xty(X, AX, M);
-    rg.copy(AX, R);
-    rg.xy(X, M, R, -1.0, 1.0);
-    rg.xty(R, R, RR);
-    rg.small_op(graph::KernelKind::kConvCheck, {&RR}, {&NRM},
-                [smp, tol] { body_conv_check(smp, tol); });
-    rg.xty(X, R, CXW);
-    rg.xy(X, CXW, R, -1.0, 1.0);
-    rg.xty(R, R, GWW);
-    rg.small_op(graph::KernelKind::kOrtho, {&GWW}, {&WSC},
-                [smp] { body_w_normalizer(smp); });
-    rg.xy(R, WSC, W, 1.0, 0.0);
-    rg.spmm(W, AW);
-    rg.xty(X, AW, ga01);
-    rg.xty(X, AP, ga02);
-    rg.xty(W, AW, ga11);
-    rg.xty(W, AP, ga12);
-    rg.xty(P, AP, ga22);
-    rg.xty(X, X, gb00);
-    rg.xty(X, W, gb01);
-    rg.xty(X, P, gb02);
-    rg.xty(W, W, gb11);
-    rg.xty(W, P, gb12);
-    rg.xty(P, P, gb22);
-    rg.small_op(graph::KernelKind::kOrtho,
-                {&M, &ga01, &ga02, &ga11, &ga12, &ga22, &gb00, &gb01, &gb02,
-                 &gb11, &gb12, &gb22},
-                {&CX, &CW, &CP}, [smp] { body_rayleigh_ritz(smp); });
-    rg.xy(W, CW, Pn, 1.0, 0.0);
-    rg.xy(P, CP, Pn, 1.0, 1.0);
-    rg.xy(AW, CW, APn, 1.0, 0.0);
-    rg.xy(AP, CP, APn, 1.0, 1.0);
-    rg.xy(X, CX, Xn, 1.0, 0.0);
-    rg.axpy(1.0, Pn, Xn);
-    rg.xy(AX, CX, AXn, 1.0, 0.0);
-    rg.axpy(1.0, APn, AXn);
-    rg.copy(Xn, X);
-    rg.copy(AXn, AX);
-    rg.copy(Pn, P);
-    rg.copy(APn, AP);
-
-    rg.runtime().wait_all(); // per-iteration convergence barrier
-    note_iteration_metrics(iter, sm, s.n);
-    ++timing.iterations;
-    if (sm.converged >= s.n || sm.rr_failed || sm.nonfinite) break;
-    maybe_checkpoint(options, s, it + 1, every);
-  }
-  timing.total_seconds = timer.seconds();
+  LobpcgScript script{options, s};
+  const IterationTiming timing =
+      run_tasks(v, "lobpcg", csb, options, start, max_iterations, script);
   return finalize(s, timing);
 }
 
@@ -1318,11 +540,9 @@ LobpcgResult lobpcg(const sparse::Csr& csr, const sparse::Csb& csb,
     case Version::kLibCsb:
       return run_bsp(nullptr, csb, max_iterations, options);
     case Version::kDs:
-      return run_ds(csb, max_iterations, options);
     case Version::kFlux:
-      return run_flux(csb, max_iterations, options);
     case Version::kRgt:
-      return run_rgt(csb, max_iterations, options);
+      return run_task_version(csb, max_iterations, v, options);
   }
   throw support::Error("unknown solver version");
 }

@@ -277,10 +277,21 @@ TEST(LobpcgFaults, NanFaultStopsCleanlyWithStatus) {
   options.block_size = 32;
   options.threads = 2;
   options.nev = 4;
-  support::fault::ScopedFault inject("spmv_block:hit=6:kind=nan");
-  const auto r = solver::lobpcg(f.csr, f.csb, 10, Version::kDs, options);
-  EXPECT_NE(r.status, SolverStatus::kOk);
-  EXPECT_LT(r.timing.iterations, 10);
+  // hit=20 poisons the first iteration's SpMM (the setup A*X takes the
+  // earlier hits). The NaN surfaces in the Rayleigh-Ritz task, so every
+  // task runtime must stop on that same iteration — flux included, whose
+  // iteration boundary has to wait for that task. Repeated because a
+  // missing wait only shows up under some interleavings.
+  for (int rep = 0; rep < 20; ++rep) {
+    for (Version v : {Version::kDs, Version::kFlux, Version::kRgt}) {
+      support::fault::ScopedFault inject("spmv_block:hit=20:kind=nan");
+      const auto r = solver::lobpcg(f.csr, f.csb, 10, v, options);
+      EXPECT_EQ(r.status, SolverStatus::kNotFinite)
+          << solver::to_string(v) << " rep " << rep;
+      EXPECT_EQ(r.timing.iterations, 1)
+          << solver::to_string(v) << " rep " << rep;
+    }
+  }
 }
 
 TEST(OptionValidation, BadOptionsThrowInsteadOfAborting) {

@@ -645,6 +645,21 @@ INSTANTIATE_TEST_SUITE_P(AllVersions, TraceRoundTrip,
                            return name;
                          });
 
+TEST(Trace, EventsFromOutsideThePoolGoToTheOverflowLane) {
+  // worker -1 is a thread outside the pool (the host helping inside
+  // future::get). Appending it to worker 0's unlocked lane would race with
+  // worker 0 itself.
+  perf::TraceRecorder recorder(2);
+  perf::TaskEvent ev;
+  ev.kind = graph::KernelKind::kSpMV;
+  ev.worker = -1;
+  ev.start_ns = 10;
+  ev.end_ns = 20;
+  obs::publish_task("flux", ev, &recorder);
+  EXPECT_EQ(recorder.overflow_count(), 1u);
+  EXPECT_EQ(recorder.events().size(), 1u);
+}
+
 TEST(Trace, SchedulerMetricsSurfaceStealAndLatencyData) {
   const sparse::Coo coo = sparse::gen_fem3d(5, 5, 5, 1, 31);
   const sparse::Csr csr = sparse::Csr::from_coo(coo);

@@ -152,6 +152,37 @@ TEST(Solvers, TraceRecordingProducesEvents) {
   EXPECT_GT(trace.events().size(), 10u);
 }
 
+TEST(Solvers, TaskRuntimesAgreeBitwise) {
+  // ds, flux and rgt lower the same kernel-call script with the same
+  // per-piece kernels and reduction orders, so their results must match to
+  // the last bit (libcsr/libcsb use OpenMP reductions and are left out).
+  const sparse::Coo coo = sparse::gen_fem3d(6, 6, 6, 1, 101);
+  const sparse::Csr csr = sparse::Csr::from_coo(coo);
+  for (const index_t block : {16, 32}) {
+    const sparse::Csb csb = sparse::Csb::from_coo(coo, block);
+    for (const bool skip : {true, false}) {
+      SolverOptions o = base_options(block);
+      o.skip_empty_blocks = skip;
+      LobpcgOptions lo;
+      static_cast<SolverOptions&>(lo) = o;
+      lo.nev = 4;
+      const auto lz = lanczos(csr, csb, 12, Version::kDs, o);
+      const auto lb = lobpcg(csr, csb, 10, Version::kDs, lo);
+      for (Version v : {Version::kFlux, Version::kRgt}) {
+        SCOPED_TRACE(std::string(to_string(v)) + " block " +
+                     std::to_string(block) + (skip ? " skip" : " noskip"));
+        const auto lz2 = lanczos(csr, csb, 12, v, o);
+        EXPECT_EQ(lz2.alphas, lz.alphas);
+        EXPECT_EQ(lz2.betas, lz.betas);
+        const auto lb2 = lobpcg(csr, csb, 10, v, lo);
+        EXPECT_EQ(lb2.timing.iterations, lb.timing.iterations);
+        EXPECT_EQ(lb2.eigenvalues, lb.eigenvalues);
+        EXPECT_EQ(lb2.residual_norms, lb.residual_norms);
+      }
+    }
+  }
+}
+
 TEST(Solvers, DifferentMatrixClassesConverge) {
   struct Case {
     sparse::Coo coo;

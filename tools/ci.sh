@@ -7,7 +7,7 @@
 #   chaos        kill/restart recovery e2e + journal-replay corruption fuzz
 #   numa         topology fixtures, pinned re-runs, steal-tier bench
 #   dispatch     scheduler/partition/quota tests + fifo-vs-fair bench
-#   asan         AddressSanitizer build + concurrency-heavy labels (+cg)
+#   asan         AddressSanitizer build + concurrency-heavy labels (+cg, solvers)
 #   tsan         ThreadSanitizer pass over obs + dispatcher structures
 #   bench        microbench exports (BENCH_kernels/obs/cg.json)
 #   format       git clang-format --diff over the changed files
@@ -83,16 +83,19 @@ stage_dispatch() {
 }
 
 stage_asan() {
-  echo "== asan: build + svc/dispatch/faults/chaos/cg labels =="
+  echo "== asan: build + svc/dispatch/faults/chaos/cg/solvers labels =="
   # cg joins the concurrency-heavy set: the SpTRSV DAG executor and the
   # flux CG driver juggle per-block futures whose lifetime bugs only ASan
   # would catch, and the cg label carries the randomized property tests
-  # (IC(0) pattern identity, SpTRSV-vs-dense, CG convergence).
+  # (IC(0) pattern identity, SpTRSV-vs-dense, CG convergence). solvers
+  # covers the shared flux/rgt lowerings of Lanczos and LOBPCG, whose
+  # partial buffers and per-piece futures outlive single iterations, and
+  # traced runs whose events cross threads.
   cmake -B "$asan_build" -S "$repo" -DSTS_SANITIZE=address \
     -DSTS_BUILD_BENCH=OFF
   cmake --build "$asan_build" -j "$jobs"
   ctest --test-dir "$asan_build" --output-on-failure -j "$jobs" \
-    -L "svc|dispatch|faults|chaos|cg"
+    -L "svc|dispatch|faults|chaos|cg|solvers"
 }
 
 stage_tsan() {
