@@ -68,6 +68,8 @@ public:
   [[nodiscard]] index_t block_rows() const {
     return static_cast<index_t>(row_deps_.size());
   }
+  /// Heap bytes of the dependency lists and level schedule.
+  [[nodiscard]] std::size_t memory_bytes() const;
 
 private:
   std::vector<std::vector<index_t>> row_deps_;

@@ -74,44 +74,15 @@ void csr_trsv_backward(const sparse::Csr& l, std::span<const double> b,
 
 // ---- preconditioner ------------------------------------------------------
 
-/// One preconditioner instance, built once per solve. The IC(0) factor is
-/// kept in both layouts: CSR for the libcsr baseline's sequential solves,
-/// CSB (+ the SpTRSV plan) for the blocked and DAG-scheduled paths.
-struct Preconditioner {
-  Precond kind = Precond::kNone;
-  std::vector<double> inv_diag; // jacobi
-  sparse::Csr lower_csr;        // ic0
-  sparse::Csb lower_csb;        // ic0, CSB block grid
-  la::SptrsvPlan plan;          // ic0, block DAG + levels
-  std::vector<double> tmp;      // L^-1 r staging between the two solves
-  double shift = 0.0;
-};
-
-Preconditioner make_precond(const sparse::Csr& a, Precond kind,
-                            index_t block_size) {
-  Preconditioner pre;
-  pre.kind = kind;
-  if (kind == Precond::kJacobi) {
-    pre.inv_diag = sparse::diagonal(a);
-    for (double& d : pre.inv_diag) d = 1.0 / d;
-  } else if (kind == Precond::kIc0) {
-    sparse::Ic0Result fac = sparse::ic0_factor(a);
-    pre.shift = fac.shift;
-    pre.lower_csb = sparse::Csb::from_csr(fac.lower, block_size);
-    pre.lower_csr = std::move(fac.lower);
-    pre.plan = la::SptrsvPlan::build(pre.lower_csb);
-    pre.tmp.assign(static_cast<std::size_t>(a.rows()), 0.0);
-  }
-  return pre;
-}
-
 /// How apply() runs the IC(0) triangular solves.
 enum class TrsvMode { kCsr, kCsbSequential, kCsbDag };
 
-/// z = M^-1 r. `sched`/`dmap` are only read in kCsbDag mode.
-void apply_precond(Preconditioner& pre, TrsvMode mode,
+/// z = M^-1 r. `tmp` stages L^-1 r between the two IC(0) solves; `sched`/
+/// `dmap` are only read in kCsbDag mode.
+void apply_precond(const CgPreconditioner& pre, TrsvMode mode,
                    std::span<const double> r, std::span<double> z,
-                   flux::Scheduler* sched, const sparse::Csb::DomainMap* dmap) {
+                   std::span<double> tmp, flux::Scheduler* sched,
+                   const sparse::Csb::DomainMap* dmap) {
   switch (pre.kind) {
     case Precond::kNone:
       std::copy(r.begin(), r.end(), z.begin());
@@ -124,18 +95,16 @@ void apply_precond(Preconditioner& pre, TrsvMode mode,
     case Precond::kIc0:
       switch (mode) {
         case TrsvMode::kCsr:
-          csr_trsv_forward(pre.lower_csr, r, pre.tmp);
-          csr_trsv_backward(pre.lower_csr, pre.tmp, z);
+          csr_trsv_forward(pre.lower_csr, r, tmp);
+          csr_trsv_backward(pre.lower_csr, tmp, z);
           return;
         case TrsvMode::kCsbSequential:
-          la::sptrsv_forward(pre.lower_csb, pre.plan, r, pre.tmp);
-          la::sptrsv_backward(pre.lower_csb, pre.plan, pre.tmp, z);
+          la::sptrsv_forward(pre.lower_csb, pre.plan, r, tmp);
+          la::sptrsv_backward(pre.lower_csb, pre.plan, tmp, z);
           return;
         case TrsvMode::kCsbDag:
-          la::sptrsv_forward(pre.lower_csb, pre.plan, r, pre.tmp, *sched,
-                             dmap);
-          la::sptrsv_backward(pre.lower_csb, pre.plan, pre.tmp, z, *sched,
-                              dmap);
+          la::sptrsv_forward(pre.lower_csb, pre.plan, r, tmp, *sched, dmap);
+          la::sptrsv_backward(pre.lower_csb, pre.plan, tmp, z, *sched, dmap);
           return;
       }
   }
@@ -148,6 +117,7 @@ struct State {
   double norm_b = 0.0;
   double rho = 0.0; // r . z at the current iteration boundary
   std::vector<double> b, x, r, p, z, q;
+  std::vector<double> tmp; // L^-1 r staging between the two IC(0) solves
 };
 
 State make_state(index_t m, const SolverOptions& options) {
@@ -163,6 +133,7 @@ State make_state(index_t m, const SolverOptions& options) {
   s.p.assign(n, 0.0);
   s.z.assign(n, 0.0);
   s.q.assign(n, 0.0);
+  s.tmp.assign(n, 0.0);
   return s;
 }
 
@@ -229,7 +200,7 @@ void publish_residual(double rel) {
 
 CgResult run_bsp(const sparse::Csr* csr, const sparse::Csb& csb,
                  const CgOptions& cg_options, const SolverOptions& options,
-                 Preconditioner& pre) {
+                 const CgPreconditioner& pre) {
   State s = make_state(csb.rows(), options);
   const TrsvMode mode =
       csr != nullptr ? TrsvMode::kCsr : TrsvMode::kCsbSequential;
@@ -239,7 +210,7 @@ CgResult run_bsp(const sparse::Csr* csr, const sparse::Csb& csb,
   const int start = apply_restore(options, s);
   const int every = ckpt::effective_every(options.ckpt_every);
   if (start == 0) {
-    apply_precond(pre, mode, s.r, s.z, nullptr, nullptr);
+    apply_precond(pre, mode, s.r, s.z, s.tmp, nullptr, nullptr);
     s.p = s.z;
     s.rho = bsp::dot(s.r, s.z);
   }
@@ -267,7 +238,7 @@ CgResult run_bsp(const sparse::Csr* csr, const sparse::Csb& csb,
     const double alpha = s.rho / pq;
     bsp::axpy(alpha, s.p, s.x);
     bsp::axpy(-alpha, s.q, s.r);
-    apply_precond(pre, mode, s.r, s.z, nullptr, nullptr);
+    apply_precond(pre, mode, s.r, s.z, s.tmp, nullptr, nullptr);
     const double rho_new = bsp::dot(s.r, s.z);
     const double rr = bsp::dot(s.r, s.r);
     if (!std::isfinite(rho_new) || !std::isfinite(rr)) {
@@ -311,7 +282,7 @@ CgResult run_bsp(const sparse::Csr* csr, const sparse::Csb& csb,
 // --------------------------------------------------------------------------
 
 CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
-                  const SolverOptions& options, Preconditioner& pre) {
+                  const SolverOptions& options, const CgPreconditioner& pre) {
   State s = make_state(csb.rows(), options);
   const index_t b = options.block_size;
   STS_EXPECTS(csb.block_size() == b);
@@ -336,12 +307,18 @@ CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
   auto domain_of = [&](index_t p) -> int {
     return options.numa_domains > 1 ? dmap.owner(p) : -1;
   };
+  // A chain factor (every wave one block row wide) leaves the DAG nothing
+  // to overlap, only task overhead to pay: its solves run sequentially on
+  // this thread instead, with bit-identical results.
+  const TrsvMode trsv_mode = pre.plan.max_level_width() <= 1
+                                 ? TrsvMode::kCsbSequential
+                                 : TrsvMode::kCsbDag;
   // The factor's own stripe partition: its block grid differs from A's
   // (different nnz distribution), so the SpTRSV tasks hint through a map
   // computed on the factor, matching how place_csb would stripe it.
   sparse::Csb::DomainMap fdmap;
   const sparse::Csb::DomainMap* fdmap_ptr = nullptr;
-  if (pre.kind == Precond::kIc0 && options.numa_domains > 1) {
+  if (trsv_mode == TrsvMode::kCsbDag && options.numa_domains > 1) {
     fdmap = pre.lower_csb.partition_block_rows(options.numa_domains);
     fdmap_ptr = &fdmap;
   }
@@ -364,7 +341,8 @@ CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
   if (start == 0) {
     // Setup (off the iteration clock): z0, p0, rho0 computed in place —
     // the scheduler is idle here, so the sequential apply is fine.
-    apply_precond(pre, TrsvMode::kCsbSequential, s.r, s.z, nullptr, nullptr);
+    apply_precond(pre, TrsvMode::kCsbSequential, s.r, s.z, s.tmp, nullptr,
+                  nullptr);
     s.p = s.z;
     s.rho = la::dot(s.r, s.z);
   }
@@ -525,20 +503,20 @@ CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
 
     // z = M^-1 r.
     if (pre.kind == Precond::kIc0) {
-      // The DAG solves read all of r and write all of z: drain the r
-      // writers and z readers first, then run the two solves — their own
-      // tasks carry the level-schedule dependencies internally.
+      // The solves read all of r and write all of z: drain the r writers
+      // and z readers first, then run the two solves — DAG tasks carry the
+      // level-schedule dependencies internally.
       for (index_t pi = 0; pi < np; ++pi) {
         r_w[static_cast<std::size_t>(pi)].get(&sched);
         for (Fut& f : z_r[static_cast<std::size_t>(pi)]) f.get(&sched);
         z_r[static_cast<std::size_t>(pi)].clear();
       }
-      apply_precond(pre, TrsvMode::kCsbDag, s.r, s.z, &sched, fdmap_ptr);
+      apply_precond(pre, trsv_mode, s.r, s.z, s.tmp, &sched, fdmap_ptr);
       for (index_t pi = 0; pi < np; ++pi) {
         z_w[static_cast<std::size_t>(pi)] = ready();
       }
     } else {
-      Preconditioner* prep = &pre;
+      const CgPreconditioner* prep = &pre;
       for (index_t pi = 0; pi < np; ++pi) {
         const index_t r0 = pi * b;
         const index_t nr = rows_in(pi);
@@ -667,19 +645,8 @@ CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
   return result;
 }
 
-} // namespace
-
-const char* to_string(Precond p) {
-  switch (p) {
-    case Precond::kNone: return "none";
-    case Precond::kJacobi: return "jacobi";
-    case Precond::kIc0: return "ic0";
-  }
-  return "?";
-}
-
-CgResult cg(const sparse::Csr& csr, const sparse::Csb& csb, Version v,
-            const CgOptions& cg_options, const SolverOptions& options) {
+void check_args(const sparse::Csr& csr, const sparse::Csb& csb,
+                const CgOptions& cg_options, const SolverOptions& options) {
   validate(options);
   if (cg_options.max_iterations < 1) {
     throw support::Error("cg: max_iterations must be >= 1, got " +
@@ -700,25 +667,72 @@ CgResult cg(const sparse::Csr& csr, const sparse::Csb& csb, Version v,
                          std::to_string(options.block_size));
   }
   STS_EXPECTS(csr.rows() == csb.rows());
+}
+
+} // namespace
+
+const char* to_string(Precond p) {
+  switch (p) {
+    case Precond::kNone: return "none";
+    case Precond::kJacobi: return "jacobi";
+    case Precond::kIc0: return "ic0";
+  }
+  return "?";
+}
+
+CgPreconditioner CgPreconditioner::build(const sparse::Csr& a, Precond kind,
+                                         index_t block_size) {
+  CgPreconditioner pre;
+  pre.kind = kind;
+  if (kind == Precond::kJacobi) {
+    pre.inv_diag = sparse::diagonal(a);
+    for (double& d : pre.inv_diag) d = 1.0 / d;
+  } else if (kind == Precond::kIc0) {
+    sparse::Ic0Result fac = sparse::ic0_factor(a);
+    pre.shift = fac.shift;
+    pre.lower_csb = sparse::Csb::from_csr(fac.lower, block_size);
+    pre.lower_csr = std::move(fac.lower);
+    pre.plan = la::SptrsvPlan::build(pre.lower_csb);
+  }
+  return pre;
+}
+
+std::size_t CgPreconditioner::bytes() const {
+  return inv_diag.size() * sizeof(double) + lower_csr.memory_bytes() +
+         lower_csb.memory_bytes() + plan.memory_bytes();
+}
+
+CgResult cg(const sparse::Csr& csr, const sparse::Csb& csb, Version v,
+            const CgPreconditioner& precond, const CgOptions& cg_options,
+            const SolverOptions& options) {
+  check_args(csr, csb, cg_options, options);
+  const bool fits =
+      precond.kind == cg_options.precond &&
+      (precond.kind != Precond::kIc0 ||
+       (precond.lower_csb.block_size() == options.block_size &&
+        precond.lower_csr.rows() == csr.rows())) &&
+      (precond.kind != Precond::kJacobi ||
+       precond.inv_diag.size() == static_cast<std::size_t>(csr.rows()));
+  if (!fits) {
+    throw support::Error(std::string("cg: the ") + to_string(precond.kind) +
+                         " preconditioner was not built for this solve (" +
+                         to_string(cg_options.precond) + ", " +
+                         std::to_string(csr.rows()) + " rows, block " +
+                         std::to_string(options.block_size) + ")");
+  }
 #ifdef _OPENMP
   omp_set_num_threads(static_cast<int>(options.threads));
 #endif
-  // The factor always comes from CSR (IC(0) is row-oriented); the CSB
-  // re-blocking inside uses the solve's block size so the SpTRSV DAG and
-  // the SpMV grid partition the rows identically.
-  Preconditioner pre =
-      make_precond(csr, cg_options.precond, options.block_size);
-
   CgResult result;
   switch (v) {
     case Version::kLibCsr:
-      result = run_bsp(&csr, csb, cg_options, options, pre);
+      result = run_bsp(&csr, csb, cg_options, options, precond);
       break;
     case Version::kLibCsb:
-      result = run_bsp(nullptr, csb, cg_options, options, pre);
+      result = run_bsp(nullptr, csb, cg_options, options, precond);
       break;
     case Version::kFlux:
-      result = run_flux(csb, cg_options, options, pre);
+      result = run_flux(csb, cg_options, options, precond);
       break;
     case Version::kDs:
     case Version::kRgt:
@@ -726,9 +740,22 @@ CgResult cg(const sparse::Csr& csr, const sparse::Csb& csb, Version v,
                            " is not implemented (cg supports libcsr, "
                            "libcsb, hpx)");
   }
-  result.precond_shift = pre.shift;
-  if (pre.kind == Precond::kIc0) result.level_span = pre.plan.level_span();
+  result.precond_shift = precond.shift;
+  if (precond.kind == Precond::kIc0) {
+    result.level_span = precond.plan.level_span();
+  }
   return result;
+}
+
+CgResult cg(const sparse::Csr& csr, const sparse::Csb& csb, Version v,
+            const CgOptions& cg_options, const SolverOptions& options) {
+  // Checked before the build: a bad block size must throw, not reach the
+  // re-blocking of the factor.
+  check_args(csr, csb, cg_options, options);
+  return cg(csr, csb, v,
+            CgPreconditioner::build(csr, cg_options.precond,
+                                    options.block_size),
+            cg_options, options);
 }
 
 } // namespace sts::solver

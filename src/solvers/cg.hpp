@@ -13,13 +13,15 @@
 // Execution versions: kLibCsr and kLibCsb are the BSP baselines (OpenMP
 // kernels, CSR-based resp. CSB-based triangular solves); kFlux runs SpMV
 // and the vector updates as per-block dataflow tasks and the IC(0)
-// triangular solves as the DAG-scheduled flux SpTRSV, composing with NUMA
-// domain hints and external per-job pools. kDs and kRgt are not
+// triangular solves as the DAG-scheduled flux SpTRSV (sequentially when the
+// factor's DAG is a chain), composing with NUMA domain hints and external
+// per-job pools. kDs and kRgt are not
 // implemented for CG and throw support::Error.
 #pragma once
 
 #include <vector>
 
+#include "la/sptrsv.hpp"
 #include "solvers/common.hpp"
 
 namespace sts::solver {
@@ -35,6 +37,33 @@ struct CgOptions {
   /// Iteration cap; reaching it without convergence is reported through
   /// CgResult::converged, not an error.
   int max_iterations = 500;
+};
+
+/// The preconditioner M a solve applies as z = M^-1 r. It depends only on
+/// (matrix, kind, block size), holds no scratch, and is never written by a
+/// solve, so one instance can be built once and read by any number of
+/// concurrent solves (the service caches it next to the matrix plan). The
+/// IC(0) factor is kept in both layouts: CSR for libcsr's sequential
+/// solves, CSB + SpTRSV plan for the blocked and DAG-scheduled paths.
+struct CgPreconditioner {
+  Precond kind = Precond::kNone;
+  std::vector<double> inv_diag; // jacobi: 1 / diag(A)
+  sparse::Csr lower_csr;        // ic0: L with the pattern of tril(A)
+  sparse::Csb lower_csb;        // ic0: L on the solve's CSB block grid
+  la::SptrsvPlan plan;          // ic0: block DAG + level schedule of L
+  double shift = 0.0;           // ic0: diagonal shift the factor settled on
+
+  /// Builds the preconditioner of `a` (IC(0) factors tril(a), then
+  /// re-blocks L at `block_size`, which must be the solve's block size so
+  /// the SpTRSV DAG and the SpMV grid partition the rows identically).
+  /// Throws support::Error when the factorization fails (structurally
+  /// missing or zero diagonal, IC(0) shift exhaustion).
+  [[nodiscard]] static CgPreconditioner build(const sparse::Csr& a,
+                                              Precond kind,
+                                              index_t block_size);
+
+  /// Resident footprint: what a cache holding this instance is charged.
+  [[nodiscard]] std::size_t bytes() const;
 };
 
 struct CgResult {
@@ -57,12 +86,19 @@ struct CgResult {
   IterationTiming timing;
 };
 
-/// Solves A x = b with b drawn from options.seed. `csr` is used by kLibCsr
-/// (and for building the IC(0) factor in every version); `csb` by kLibCsb
-/// and kFlux; both must represent the same SPD matrix. Throws
+/// Solves A x = b with b drawn from options.seed, preconditioned by
+/// `precond`. `csr` is used by kLibCsr; `csb` by kLibCsb and kFlux; both
+/// must represent the same SPD matrix `precond` was built from. Throws
 /// support::Error on invalid options, non-square input, unsupported
-/// version, or a preconditioner failure (structurally missing diagonal,
-/// IC(0) shift exhaustion).
+/// version, or a preconditioner that does not match cg_options.precond or
+/// options.block_size.
+[[nodiscard]] CgResult cg(const sparse::Csr& csr, const sparse::Csb& csb,
+                          Version v, const CgPreconditioner& precond,
+                          const CgOptions& cg_options,
+                          const SolverOptions& options);
+
+/// Builds CgPreconditioner::build(csr, cg_options.precond,
+/// options.block_size) for this one solve, then solves as above.
 [[nodiscard]] CgResult cg(const sparse::Csr& csr, const sparse::Csb& csb,
                           Version v, const CgOptions& cg_options,
                           const SolverOptions& options);

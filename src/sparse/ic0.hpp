@@ -9,9 +9,11 @@
 // (la/sptrsv.hpp).
 //
 // The factorization is sequential by design: it is a setup cost paid once
-// per (matrix, preconditioner) pair, cached by the service layer alongside
-// the CSB plan; the per-iteration triangular solves are where the task
-// parallelism lives.
+// per (matrix, block size). solver::CgPreconditioner holds the factor (CSR,
+// CSB and SpTRSV plan), and the service's plan cache keeps it as an entry
+// beside the matrix plan, admitted only for a job whose plan was already
+// cached, so warm CG jobs run no factorization. The per-iteration
+// triangular solves are where the task parallelism lives.
 #pragma once
 
 #include <vector>

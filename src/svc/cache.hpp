@@ -1,5 +1,6 @@
 // Byte-budgeted LRU cache of solve plans: the parsed matrix (CSR) plus its
-// CSB partition at a resolved block size.
+// CSB partition at a resolved block size, and the CG preconditioners built
+// on them.
 //
 // The paper's central cost observation is that CSB partitioning with a
 // tuned block size is the expensive, reusable artifact behind both Lanczos
@@ -10,7 +11,13 @@
 // "tune:..." simulated autotune) — both computable *before* any parsing, so
 // a repeat submission skips mm_io/from_coo/from_csr entirely.
 //
-// Budgeting: entries are charged csr.memory_bytes() + csb.memory_bytes().
+// A CG preconditioner (IC(0) factor in CSR and CSB + SpTRSV plan, or the
+// Jacobi diagonal) is a second entry under (source, directive + "|pc=" +
+// kind), charged CgPreconditioner::bytes(). The service admits one only
+// for a job whose matrix plan was itself a hit, so one-shot jobs on unseen
+// matrices do not fill the cache with factors nobody reuses.
+//
+// Budgeting: plans are charged csr.memory_bytes() + csb.memory_bytes().
 // After an insert, least-recently-used entries are evicted until the total
 // fits STS_CACHE_BYTES again; the entry just inserted is never evicted (a
 // single over-budget plan still gets used once — it just won't stick).
@@ -29,14 +36,20 @@
 #include "sparse/csb.hpp"
 #include "sparse/csr.hpp"
 
+namespace sts::solver {
+struct CgPreconditioner;
+}
+
 namespace sts::svc {
 
-/// One cached (matrix, partition) pair.
+/// One cached entry: a (matrix, partition) pair, or (only `precond` and
+/// `bytes` set) a CG preconditioner built on one.
 struct Plan {
   std::shared_ptr<const sparse::Csr> csr;
   std::shared_ptr<const sparse::Csb> csb;
+  std::shared_ptr<const solver::CgPreconditioner> precond;
   la::index_t block_size = 0; // resolved block size the partition uses
-  std::size_t bytes = 0;      // cache charge for this plan
+  std::size_t bytes = 0;      // cache charge for this entry
 };
 
 struct CacheStats {

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "obs/obs.hpp"
+#include "solvers/cg.hpp"
 #include "solvers/checkpoint.hpp"
 #include "solvers/common.hpp"
 #include "solvers/lanczos.hpp"
@@ -793,11 +794,48 @@ void Service::run_job(Job& job, unsigned si) {
       job.block_size = plan->block_size;
     }
 
-    // Memory quota: enforced against the plan's resident footprint, after
-    // the (possibly cached) plan exists but before any solve work starts.
-    if (job.spec.max_mem_bytes != 0 && plan->bytes > job.spec.max_mem_bytes) {
+    // CG preconditioner: a second cache entry beside the plan, admitted
+    // only when the plan itself was a hit. A one-shot job on an unseen
+    // matrix builds its factor and drops it, so it never evicts plans for
+    // a factor nobody reuses; a warm job runs no factorization at all.
+    std::shared_ptr<const solver::CgPreconditioner> precond;
+    bool precond_hit = false;
+    double precond_ms = 0.0;
+    if (job.spec.solver == SolverKind::kCg) {
+      auto build_precond = [&] {
+        const support::Timer t;
+        auto pc = std::make_shared<const solver::CgPreconditioner>(
+            solver::CgPreconditioner::build(*plan->csr, job.spec.precond,
+                                            plan->block_size));
+        precond_ms = t.seconds() * 1e3;
+        return pc;
+      };
+      if (hit && job.spec.precond != solver::Precond::kNone) {
+        precond = cache_
+                      .get_or_build(
+                          job.spec.source_key(),
+                          job.spec.block_directive() + "|pc=" +
+                              solver::to_string(job.spec.precond),
+                          [&] {
+                            Plan entry;
+                            entry.precond = build_precond();
+                            entry.bytes = entry.precond->bytes();
+                            return entry;
+                          },
+                          &precond_hit)
+                      ->precond;
+      } else {
+        precond = build_precond();
+      }
+    }
+
+    // Memory quota: enforced against the job's resident footprint (plan
+    // plus preconditioner), after both exist but before the solve starts.
+    const std::size_t footprint =
+        plan->bytes + (precond ? precond->bytes() : 0);
+    if (job.spec.max_mem_bytes != 0 && footprint > job.spec.max_mem_bytes) {
       throw support::Error(
-          "quota: plan footprint " + std::to_string(plan->bytes) +
+          "quota: plan footprint " + std::to_string(footprint) +
           " bytes exceeds max_mem_bytes " +
           std::to_string(job.spec.max_mem_bytes));
     }
@@ -910,13 +948,15 @@ void Service::run_job(Job& job, unsigned si) {
         }
       }
       const auto r = solver::cg(*plan->csr, *plan->csb, job.spec.version,
-                                job.spec.cg_options(), options);
+                                *precond, job.spec.cg_options(), options);
       status = r.status;
       summary.set("iterations", r.timing.iterations);
       summary.set("seconds", r.timing.total_seconds);
       summary.set("converged", r.converged);
       summary.set("relative_residual", r.relative_residual);
       summary.set("precond", solver::to_string(job.spec.precond));
+      summary.set("precond_cached", precond_hit);
+      summary.set("precond_ms", precond_ms);
       if (r.precond_shift != 0.0) {
         summary.set("precond_shift", r.precond_shift);
       }

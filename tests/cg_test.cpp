@@ -4,10 +4,13 @@
 #include <cctype>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "flux/scheduler.hpp"
 #include "la/sptrsv.hpp"
+#include "obs/obs.hpp"
+#include "perf/trace.hpp"
 #include "solvers/cg.hpp"
 #include "solvers/checkpoint.hpp"
 #include "sparse/generators.hpp"
@@ -33,6 +36,15 @@ struct Problem {
 
 Problem spd_problem(index_t block = 32) {
   return Problem(sparse::gen_laplacian3d(6, 6, 6, 1, 101), block);
+}
+
+/// Scattered block structure, so the IC(0) factor's SpTRSV DAG has real
+/// width rather than being a chain; the diagonal is boosted to keep it SPD.
+Problem wide_problem(index_t block = 16) {
+  sparse::Coo coo = sparse::gen_block_random(12, 16, 0.25, 0.5, 11);
+  for (index_t i = 0; i < coo.rows(); ++i) coo.add(i, i, 64.0);
+  coo.finalize();
+  return Problem(std::move(coo), block);
 }
 
 SolverOptions base_options(index_t block = 32) {
@@ -199,24 +211,8 @@ INSTANTIATE_TEST_SUITE_P(BlockSizes, SptrsvBlockSizes,
 
 TEST(Sptrsv, DagExecutionMatchesSequential) {
   const index_t block = 16;
-  // Scattered block structure so the DAG has real width, not a chain.
-  Problem p(sparse::gen_block_random(12, 16, 0.25, 0.5, 11), block);
-  // Make it SPD enough to factor: boost the diagonal.
-  sparse::Coo boosted(p.csr.rows(), p.csr.rows());
-  {
-    const la::DenseMatrix d = p.coo.to_dense();
-    for (index_t i = 0; i < p.csr.rows(); ++i) {
-      for (index_t j = 0; j < p.csr.rows(); ++j) {
-        if (i == j) {
-          boosted.add(i, j, d.at(i, j) + 64.0);
-        } else if (d.at(i, j) != 0.0) {
-          boosted.add(i, j, d.at(i, j));
-        }
-      }
-    }
-    boosted.finalize();
-  }
-  const sparse::Csr a = sparse::Csr::from_coo(boosted);
+  const Problem p = wide_problem(block);
+  const sparse::Csr& a = p.csr;
   const sparse::Ic0Result fac = sparse::ic0_factor(a);
   const sparse::Csb lcsb = sparse::Csb::from_csr(fac.lower, block);
   const la::SptrsvPlan plan = la::SptrsvPlan::build(lcsb);
@@ -494,6 +490,148 @@ TEST(Cg, PrecondNamesRoundTrip) {
   EXPECT_STREQ(to_string(Precond::kNone), "none");
   EXPECT_STREQ(to_string(Precond::kJacobi), "jacobi");
   EXPECT_STREQ(to_string(Precond::kIc0), "ic0");
+}
+
+// ---- Prebuilt (shared) preconditioners -----------------------------------
+
+void expect_bitwise_equal(const CgResult& got, const CgResult& want) {
+  EXPECT_EQ(got.x, want.x);
+  EXPECT_EQ(got.residual_norms, want.residual_norms);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.precond_shift, want.precond_shift);
+  EXPECT_EQ(got.level_span, want.level_span);
+}
+
+CgOptions tight(Precond pc) {
+  CgOptions o;
+  o.precond = pc;
+  o.tol = 1e-9;
+  o.max_iterations = 400;
+  return o;
+}
+
+// A preconditioner built once and passed in must solve exactly like the
+// per-call build, on a chain factor (spd_problem) and a wide one.
+TEST(CgPrebuilt, MatchesSelfBuildingOverloadBitwise) {
+  for (const Problem& p : {spd_problem(16), wide_problem(16)}) {
+    const SolverOptions opts = base_options(16);
+    for (const Precond pc :
+         {Precond::kNone, Precond::kJacobi, Precond::kIc0}) {
+      const CgPreconditioner pre = CgPreconditioner::build(p.csr, pc, 16);
+      for (const Version v :
+           {Version::kLibCsr, Version::kLibCsb, Version::kFlux}) {
+        SCOPED_TRACE(std::string(to_string(v)) + "/" + to_string(pc));
+        const CgResult fresh = cg(p.csr, p.csb, v, tight(pc), opts);
+        ASSERT_TRUE(fresh.converged);
+        expect_bitwise_equal(cg(p.csr, p.csb, v, pre, tight(pc), opts), fresh);
+      }
+    }
+  }
+}
+
+TEST(CgPrebuilt, RejectsPreconditionerBuiltForAnotherSolve) {
+  const Problem p = spd_problem(16);
+  const CgPreconditioner ic0 = CgPreconditioner::build(p.csr, Precond::kIc0,
+                                                       16);
+  const SolverOptions opts = base_options(16);
+  EXPECT_THROW((void)cg(p.csr, p.csb, Version::kLibCsb, ic0,
+                        tight(Precond::kJacobi), opts),
+               support::Error);
+  const CgPreconditioner other_block =
+      CgPreconditioner::build(p.csr, Precond::kIc0, 32);
+  EXPECT_THROW((void)cg(p.csr, p.csb, Version::kLibCsb, other_block,
+                        tight(Precond::kIc0), opts),
+               support::Error);
+  EXPECT_GT(ic0.bytes(), p.csr.memory_bytes() / 2); // holds L twice
+}
+
+/// Runs one flux IC(0)-CG solve and returns how many tasks its pool ran
+/// that the trace recorder did not see. Every CG task but the SpTRSV ones
+/// is recorded, so this counts the SpTRSV tasks.
+std::uint64_t flux_sptrsv_tasks(const Problem& p, const CgPreconditioner& pre,
+                                SolverOptions opts, CgResult& out) {
+  obs::enable_metrics("");
+  const obs::Histogram& run_ns = obs::histogram("flux.task_run_ns");
+  const std::uint64_t before = run_ns.snapshot().count;
+  perf::TraceRecorder trace(opts.threads);
+  opts.trace = &trace;
+  out = cg(p.csr, p.csb, Version::kFlux, pre, tight(Precond::kIc0), opts);
+  const std::uint64_t ran = run_ns.snapshot().count - before;
+  obs::disable();
+  return ran - trace.events().size();
+}
+
+// On a chain factor (every level one block row wide) flux runs the IC(0)
+// solves sequentially: no SpTRSV task reaches the pool. With one block row
+// the dots are one partial each, so the result is libcsb's bit for bit;
+// with several the flux dots sum per-block partials, libcsb's do not.
+TEST(CgChain, FluxRunsChainFactorWithoutDagTasks) {
+  for (const index_t block : {16, 256}) {
+    SCOPED_TRACE("block " + std::to_string(block));
+    const Problem p = spd_problem(block);
+    const CgPreconditioner pre =
+        CgPreconditioner::build(p.csr, Precond::kIc0, block);
+    ASSERT_EQ(pre.plan.max_level_width(), 1);
+    ASSERT_EQ(pre.plan.level_span(), pre.plan.block_rows());
+
+    SolverOptions opts = base_options(block);
+    opts.threads = 1;
+    CgResult flux;
+    EXPECT_EQ(flux_sptrsv_tasks(p, pre, opts, flux), 0u);
+    ASSERT_TRUE(flux.converged);
+
+    const CgResult csb =
+        cg(p.csr, p.csb, Version::kLibCsb, pre, tight(Precond::kIc0), opts);
+    if (p.csb.block_rows() == 1) {
+      expect_bitwise_equal(flux, csb);
+    } else {
+      EXPECT_EQ(flux.iterations, csb.iterations);
+      EXPECT_LT(rel_err(flux.x, csb.x), 1e-12);
+    }
+  }
+}
+
+// The count above is not vacuous: a wide factor runs each solve as one
+// SpTRSV task per block row, forward and backward.
+TEST(CgChain, FluxRunsWideFactorAsDagTasks) {
+  const Problem p = wide_problem(16);
+  const CgPreconditioner pre =
+      CgPreconditioner::build(p.csr, Precond::kIc0, 16);
+  ASSERT_GT(pre.plan.max_level_width(), 1);
+  CgResult flux;
+  const std::uint64_t sptrsv =
+      flux_sptrsv_tasks(p, pre, base_options(16), flux);
+  ASSERT_TRUE(flux.converged);
+  EXPECT_EQ(sptrsv, static_cast<std::uint64_t>(flux.iterations) * 2 *
+                        static_cast<std::uint64_t>(pre.plan.block_rows()));
+}
+
+// Two solves on their own pools reading one preconditioner at once (the
+// service's warm-job case): each gets exactly the single-solve result.
+// Everything here stays outside OpenMP, so ThreadSanitizer can check it.
+TEST(CgConcurrency, TwoFluxSolvesShareOnePreconditioner) {
+  const Problem p = wide_problem(16);
+  const CgPreconditioner pre =
+      CgPreconditioner::build(p.csr, Precond::kIc0, 16);
+  ASSERT_GT(pre.plan.max_level_width(), 1); // DAG tasks on both pools
+  const SolverOptions opts = base_options(16);
+  const CgResult alone =
+      cg(p.csr, p.csb, Version::kFlux, pre, tight(Precond::kIc0), opts);
+
+  std::vector<CgResult> results(2);
+  std::vector<std::thread> threads;
+  for (CgResult& out : results) {
+    threads.emplace_back([&] {
+      flux::Scheduler::Config cfg;
+      cfg.threads = 2;
+      flux::Scheduler pool(cfg);
+      SolverOptions o = opts;
+      o.flux_pool = &pool;
+      out = cg(p.csr, p.csb, Version::kFlux, pre, tight(Precond::kIc0), o);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const CgResult& r : results) expect_bitwise_equal(r, alone);
 }
 
 } // namespace

@@ -19,6 +19,7 @@
 
 #include "obs/obs.hpp"
 #include "proc_util.hpp"
+#include "solvers/cg.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
 #include "svc/cache.hpp"
@@ -368,6 +369,82 @@ TEST(Service, EvictsPlansOverCacheBudget) {
   const svc::ServiceStats stats = service.stats();
   EXPECT_GE(stats.cache.evictions, 1u);
   EXPECT_EQ(stats.cache.entries, 1u); // only the newest plan kept
+}
+
+// Warm IC(0)-CG jobs reuse the cached factor. The first job on a matrix
+// misses its plan, so it builds a factor and does not cache it; the second
+// hits the plan and caches the factor it builds; the third runs no
+// factorization. Every job matches a direct solver::cg call bitwise.
+TEST(Service, WarmCgJobsReuseTheCachedIc0Factor) {
+  svc::Service service(test_config());
+  const solver::Version versions[] = {solver::Version::kLibCsr,
+                                      solver::Version::kLibCsb,
+                                      solver::Version::kFlux};
+  std::vector<svc::JobInfo> jobs;
+  std::vector<std::size_t> entries;
+  for (const solver::Version v : versions) {
+    svc::RunSpec spec = quick_spec(svc::SolverKind::kCg, v);
+    spec.precond = solver::Precond::kIc0;
+    spec.tolerance = 1e-8;
+    spec.iterations = 200;
+    jobs.push_back(service.wait(service.submit(spec).id, 30s));
+    ASSERT_EQ(jobs.back().state, svc::JobState::kDone) << jobs.back().error;
+    entries.push_back(service.stats().cache.entries);
+  }
+  EXPECT_EQ(entries, (std::vector<std::size_t>{1, 2, 2}));
+  const bool cached[] = {false, false, true};
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    SCOPED_TRACE("job " + std::to_string(i));
+    const svc::wire::Json& sum = jobs[i].summary;
+    EXPECT_EQ(jobs[i].cache_hit, i > 0);
+    EXPECT_EQ(sum.get("precond_cached").as_bool(), cached[i]);
+    if (cached[i]) {
+      EXPECT_EQ(sum.get("precond_ms").as_number(), 0.0);
+    } else {
+      EXPECT_GT(sum.get("precond_ms").as_number(), 0.0);
+    }
+
+    svc::RunSpec spec = quick_spec(svc::SolverKind::kCg, versions[i]);
+    spec.precond = solver::Precond::kIc0;
+    spec.tolerance = 1e-8;
+    spec.iterations = 200;
+    const sparse::Csr csr = sparse::Csr::from_coo(spec.load());
+    const sparse::Csb csb = sparse::Csb::from_csr(csr, jobs[i].block_size);
+    solver::SolverOptions options = spec.solver_options(jobs[i].block_size);
+    options.threads = 2;
+    const solver::CgResult direct =
+        solver::cg(csr, csb, versions[i], spec.cg_options(), options);
+    EXPECT_TRUE(direct.converged);
+    EXPECT_EQ(sum.get("iterations").as_int(), direct.iterations);
+    EXPECT_EQ(sum.get("relative_residual").as_number(),
+              direct.relative_residual);
+  }
+  const svc::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.cache.misses, 2u); // job 1's plan, job 2's factor
+  EXPECT_EQ(stats.cache.hits, 3u);   // job 2's plan, job 3's plan + factor
+}
+
+// The memory quota counts the preconditioner too: a budget that holds the
+// plan alone passes a plain CG job and fails the IC(0) one.
+TEST(Service, MemoryQuotaCountsThePreconditioner) {
+  svc::Service service(test_config());
+  svc::RunSpec spec = quick_spec(svc::SolverKind::kCg,
+                                 solver::Version::kLibCsb);
+  const sparse::Csr csr = sparse::Csr::from_coo(spec.load());
+  const std::size_t plan_bytes =
+      csr.memory_bytes() + sparse::Csb::from_csr(csr, 64).memory_bytes();
+  const std::size_t pc_bytes =
+      solver::CgPreconditioner::build(csr, solver::Precond::kIc0, 64).bytes();
+  spec.max_mem_bytes = plan_bytes + pc_bytes / 2;
+
+  const svc::JobInfo plain = service.wait(service.submit(spec).id, 30s);
+  EXPECT_EQ(plain.state, svc::JobState::kDone) << plain.error;
+  spec.precond = solver::Precond::kIc0;
+  const svc::JobInfo ic0 = service.wait(service.submit(spec).id, 30s);
+  EXPECT_EQ(ic0.state, svc::JobState::kFailed);
+  EXPECT_NE(ic0.error.find(std::to_string(plan_bytes + pc_bytes)),
+            std::string::npos)
+      << ic0.error;
 }
 
 TEST(Service, QueueFullSubmissionsRejectedImmediately) {
