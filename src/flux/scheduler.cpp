@@ -684,6 +684,8 @@ bool Scheduler::try_run_one() {
   }
   if (!got) return false;
   run_task(task);
+  helped_.fetch_add(1, std::memory_order_relaxed);
+  executed_counter().add(1);
   on_task_done();
   return true;
 }
@@ -694,6 +696,7 @@ int Scheduler::current_worker() const noexcept {
 
 Scheduler::Stats Scheduler::stats() const {
   Stats s;
+  s.executed = helped_.load(std::memory_order_relaxed);
   const unsigned active = active_.load(std::memory_order_acquire);
   for (unsigned i = 0; i < active; ++i) {
     const Worker& w = *workers_[i];

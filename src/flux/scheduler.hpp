@@ -98,7 +98,7 @@ public:
   };
 
   struct Stats {
-    std::uint64_t executed = 0;
+    std::uint64_t executed = 0; // by workers and by helpers in get()
     std::uint64_t steals = 0;
     std::uint64_t cross_domain_steals = 0; // == steals_remote (kept: legacy)
     /// Hierarchical steal tiers (DESIGN.md §14): victim shares the thief's
@@ -276,6 +276,9 @@ private:
   std::unique_ptr<std::atomic<unsigned>[]> domain_size_;
 
   std::atomic<std::uint64_t> outstanding_{0};
+  /// Tasks run by threads helping inside future::get (try_run_one); the
+  /// worker loop counts its own per worker.
+  std::atomic<std::uint64_t> helped_{0};
   std::atomic<bool> stopping_{false};
   std::atomic<unsigned> next_worker_{0};
   std::atomic<int> sleepers_{0};

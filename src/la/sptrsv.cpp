@@ -1,6 +1,7 @@
 #include "la/sptrsv.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <string>
 
 #include "flux/dataflow.hpp"
@@ -214,22 +215,31 @@ namespace {
 
 /// Shared task-parallel driver for both orientations: submit one future
 /// per block row in a topological order (ascending for forward, descending
-/// for backward), chained on the plan's DAG edges, then cooperatively wait
-/// on every row. The per-row task does the whole gather + in-block solve —
-/// coarse enough to amortize task overhead, fine enough that independent
-/// waves fill the machine.
+/// for backward), each waiting on its input future and on the plan's DAG
+/// edges, and return the per-row futures without waiting. The per-row task
+/// does the whole gather + in-block solve. That is fine enough that
+/// independent waves fill the machine, but not coarse enough to amortize
+/// task overhead: traced solvebench cg-ic0 runs on 4 cores read
+/// la.sptrsv_dag_speedup (sequential time over DAG time, summed over a
+/// chain and a wide factor) at 0.64 to 0.99, never above 1. Merging rows
+/// into coarser supertasks is open work.
 template <typename Deps, typename Body>
-void run_dag(const sparse::Csb& lower, flux::Scheduler& sched,
-             const sparse::Csb::DomainMap* dmap, bool ascending,
-             Deps&& deps_of, Body&& make_body) {
+RowFutures run_dag(const sparse::Csb& lower, flux::Scheduler& sched,
+                   const sparse::Csb::DomainMap* dmap, bool ascending,
+                   RowFutures in, Deps&& deps_of, Body&& make_body) {
   const index_t nb = lower.block_rows();
-  using Fut = flux::shared_future<void>;
-  std::vector<Fut> done(static_cast<std::size_t>(nb));
+  if (in.size() != static_cast<std::size_t>(nb)) {
+    throw support::Error("sptrsv: " + std::to_string(in.size()) +
+                         " input futures for " + std::to_string(nb) +
+                         " block rows");
+  }
+  RowFutures done(static_cast<std::size_t>(nb));
   for (index_t step = 0; step < nb; ++step) {
     const index_t br = ascending ? step : nb - 1 - step;
     const std::vector<index_t>& deps = deps_of(br);
-    std::vector<Fut> wait;
-    wait.reserve(deps.size());
+    RowFutures wait;
+    wait.reserve(deps.size() + 1);
+    wait.push_back(std::move(in[static_cast<std::size_t>(br)]));
     for (const index_t d : deps) wait.push_back(done[static_cast<std::size_t>(d)]);
     const int hint = dmap != nullptr && dmap->domains() > 1
                          ? dmap->owner(br)
@@ -239,55 +249,86 @@ void run_dag(const sparse::Csb& lower, flux::Scheduler& sched,
                             std::move(wait))
             .share();
   }
-  for (Fut& f : done) f.get(&sched);
+  return done;
+}
+
+RowFutures ready_rows(const sparse::Csb& lower) {
+  return RowFutures(static_cast<std::size_t>(lower.block_rows()),
+                    flux::make_ready_future());
+}
+
+void wait_rows(RowFutures rows, flux::Scheduler& sched) {
+  for (flux::shared_future<void>& f : rows) f.get(&sched);
 }
 
 } // namespace
 
-void sptrsv_forward(const sparse::Csb& lower, const SptrsvPlan& plan,
-                    std::span<const double> b, std::span<double> x,
-                    flux::Scheduler& sched,
-                    const sparse::Csb::DomainMap* dmap) {
+RowFutures sptrsv_forward(const sparse::Csb& lower, const SptrsvPlan& plan,
+                          std::span<const double> b, std::span<double> x,
+                          flux::Scheduler& sched,
+                          const sparse::Csb::DomainMap* dmap, RowFutures in,
+                          RowHook then) {
   check_shapes(lower, plan, b, x);
   const sparse::Csb* l = &lower;
   const SptrsvPlan* p = &plan;
-  run_dag(
-      lower, sched, dmap, /*ascending=*/true,
+  auto hook = std::make_shared<const RowHook>(std::move(then));
+  return run_dag(
+      lower, sched, dmap, /*ascending=*/true, std::move(in),
       [p](index_t bi) -> const std::vector<index_t>& { return p->deps(bi); },
-      [l, p, b, x](index_t bi) {
-        return [l, p, b, x, bi] {
+      [l, p, b, x, hook](index_t bi) {
+        return [l, p, b, x, hook, bi] {
           const obs::prof::TaskMark mark("flux", graph::KernelKind::kSpTRSV);
           copy_block(*l, bi, b, x);
           for (const index_t bj : p->deps(bi)) {
             block_gather_sub(*l, bi, bj, x);
           }
           block_diag_solve(*l, bi, x);
+          if (*hook) (*hook)(bi);
         };
       });
 }
 
-void sptrsv_backward(const sparse::Csb& lower, const SptrsvPlan& plan,
-                     std::span<const double> b, std::span<double> x,
-                     flux::Scheduler& sched,
-                     const sparse::Csb::DomainMap* dmap) {
+RowFutures sptrsv_backward(const sparse::Csb& lower, const SptrsvPlan& plan,
+                           std::span<const double> b, std::span<double> x,
+                           flux::Scheduler& sched,
+                           const sparse::Csb::DomainMap* dmap, RowFutures in,
+                           RowHook then) {
   check_shapes(lower, plan, b, x);
   const sparse::Csb* l = &lower;
   const SptrsvPlan* p = &plan;
-  run_dag(
-      lower, sched, dmap, /*ascending=*/false,
+  auto hook = std::make_shared<const RowHook>(std::move(then));
+  return run_dag(
+      lower, sched, dmap, /*ascending=*/false, std::move(in),
       [p](index_t bj) -> const std::vector<index_t>& {
         return p->transposed_deps(bj);
       },
-      [l, p, b, x](index_t bj) {
-        return [l, p, b, x, bj] {
+      [l, p, b, x, hook](index_t bj) {
+        return [l, p, b, x, hook, bj] {
           const obs::prof::TaskMark mark("flux", graph::KernelKind::kSpTRSV);
           copy_block(*l, bj, b, x);
           for (const index_t bi : p->transposed_deps(bj)) {
             block_gather_sub_t(*l, bi, bj, x);
           }
           block_diag_solve_t(*l, bj, x);
+          if (*hook) (*hook)(bj);
         };
       });
+}
+
+void sptrsv_forward(const sparse::Csb& lower, const SptrsvPlan& plan,
+                    std::span<const double> b, std::span<double> x,
+                    flux::Scheduler& sched,
+                    const sparse::Csb::DomainMap* dmap) {
+  wait_rows(sptrsv_forward(lower, plan, b, x, sched, dmap, ready_rows(lower)),
+            sched);
+}
+
+void sptrsv_backward(const sparse::Csb& lower, const SptrsvPlan& plan,
+                     std::span<const double> b, std::span<double> x,
+                     flux::Scheduler& sched,
+                     const sparse::Csb::DomainMap* dmap) {
+  wait_rows(sptrsv_backward(lower, plan, b, x, sched, dmap, ready_rows(lower)),
+            sched);
 }
 
 } // namespace sts::la

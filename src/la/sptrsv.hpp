@@ -13,7 +13,9 @@
 //     either sequentially (the baseline bench_cg compares against) or as
 //     flux tasks: one task per block row, chained through futures exactly
 //     along the DAG edges, each hinted to the NUMA domain owning its
-//     stripe so the solve composes with place_csb() page placement.
+//     stripe so the solve composes with place_csb() page placement. The
+//     dataflow forms also take per-row input futures and return per-row
+//     output futures, so a caller can put the solve inside a larger graph.
 //
 // Requirements on L: square, lower triangular (no nonzeros above the
 // diagonal), and every row's last in-block entry is its diagonal (CSB
@@ -21,14 +23,12 @@
 // is structurally present — IC(0) factors guarantee it).
 #pragma once
 
+#include <functional>
 #include <span>
 #include <vector>
 
+#include "flux/future.hpp"
 #include "sparse/csb.hpp"
-
-namespace sts::flux {
-class Scheduler;
-}
 
 namespace sts::la {
 
@@ -86,15 +86,43 @@ void sptrsv_forward(const sparse::Csb& lower, const SptrsvPlan& plan,
 void sptrsv_backward(const sparse::Csb& lower, const SptrsvPlan& plan,
                      std::span<const double> b, std::span<double> x);
 
-/// DAG-scheduled variants: one flux task per block row, dependencies wired
-/// through futures along the plan's edges, each task hinted to
+/// One future per block row: ready once that row's piece is written.
+using RowFutures = std::vector<flux::shared_future<void>>;
+
+/// Runs inside a row's task right after x_row is final (see below).
+using RowHook = std::function<void(index_t)>;
+
+/// Dataflow forms: one flux task per block row, submitted and returned
+/// without waiting. Row i's task starts once `in[i]` (whatever writes b_i;
+/// one entry per block row) and its DAG predecessors are ready, so the
+/// solve composes with the producer of b instead of draining it first.
+/// The returned future of row i is ready once x_i is final and, when set,
+/// `then(i)` has run in the same task. Each task is hinted to
 /// `dmap->owner(block row)` when `dmap` is non-null (pass the map
 /// place_csb() returned so tasks land where their stripe's pages live).
-/// Both return after the full solve completed; task failures propagate as
-/// exceptions from the scheduler. Must be called from a non-worker thread
-/// with no unrelated work outstanding on `sched` only if the caller plans
-/// to wait_for_quiescence itself — these functions only wait on their own
-/// futures.
+/// A failed input poisons its row and every row downstream of it.
+/// `lower`, `plan`, b and x must outlive the returned futures.
+[[nodiscard]] RowFutures sptrsv_forward(const sparse::Csb& lower,
+                                        const SptrsvPlan& plan,
+                                        std::span<const double> b,
+                                        std::span<double> x,
+                                        flux::Scheduler& sched,
+                                        const sparse::Csb::DomainMap* dmap,
+                                        RowFutures in, RowHook then = {});
+
+/// x = L^-T b as dataflow: row j's task waits on `in[j]` and on the rows
+/// below it with a nonempty L(i, j).
+[[nodiscard]] RowFutures sptrsv_backward(const sparse::Csb& lower,
+                                         const SptrsvPlan& plan,
+                                         std::span<const double> b,
+                                         std::span<double> x,
+                                         flux::Scheduler& sched,
+                                         const sparse::Csb::DomainMap* dmap,
+                                         RowFutures in, RowHook then = {});
+
+/// Blocking DAG forms: the dataflow forms with every input ready, then a
+/// cooperative wait on every row. Task failures propagate as exceptions.
+/// They only wait on their own futures, not for quiescence of `sched`.
 void sptrsv_forward(const sparse::Csb& lower, const SptrsvPlan& plan,
                     std::span<const double> b, std::span<double> x,
                     flux::Scheduler& sched,

@@ -74,15 +74,13 @@ void csr_trsv_backward(const sparse::Csr& l, std::span<const double> b,
 
 // ---- preconditioner ------------------------------------------------------
 
-/// How apply() runs the IC(0) triangular solves.
-enum class TrsvMode { kCsr, kCsbSequential, kCsbDag };
+/// How apply_precond() runs the IC(0) triangular solves.
+enum class TrsvMode { kCsr, kCsbSequential };
 
-/// z = M^-1 r. `tmp` stages L^-1 r between the two IC(0) solves; `sched`/
-/// `dmap` are only read in kCsbDag mode.
+/// z = M^-1 r. `tmp` stages L^-1 r between the two IC(0) solves.
 void apply_precond(const CgPreconditioner& pre, TrsvMode mode,
                    std::span<const double> r, std::span<double> z,
-                   std::span<double> tmp, flux::Scheduler* sched,
-                   const sparse::Csb::DomainMap* dmap) {
+                   std::span<double> tmp) {
   switch (pre.kind) {
     case Precond::kNone:
       std::copy(r.begin(), r.end(), z.begin());
@@ -93,20 +91,14 @@ void apply_precond(const CgPreconditioner& pre, TrsvMode mode,
       return;
     }
     case Precond::kIc0:
-      switch (mode) {
-        case TrsvMode::kCsr:
-          csr_trsv_forward(pre.lower_csr, r, tmp);
-          csr_trsv_backward(pre.lower_csr, tmp, z);
-          return;
-        case TrsvMode::kCsbSequential:
-          la::sptrsv_forward(pre.lower_csb, pre.plan, r, tmp);
-          la::sptrsv_backward(pre.lower_csb, pre.plan, tmp, z);
-          return;
-        case TrsvMode::kCsbDag:
-          la::sptrsv_forward(pre.lower_csb, pre.plan, r, tmp, *sched, dmap);
-          la::sptrsv_backward(pre.lower_csb, pre.plan, tmp, z, *sched, dmap);
-          return;
+      if (mode == TrsvMode::kCsr) {
+        csr_trsv_forward(pre.lower_csr, r, tmp);
+        csr_trsv_backward(pre.lower_csr, tmp, z);
+      } else {
+        la::sptrsv_forward(pre.lower_csb, pre.plan, r, tmp);
+        la::sptrsv_backward(pre.lower_csb, pre.plan, tmp, z);
       }
+      return;
   }
 }
 
@@ -210,7 +202,7 @@ CgResult run_bsp(const sparse::Csr* csr, const sparse::Csb& csb,
   const int start = apply_restore(options, s);
   const int every = ckpt::effective_every(options.ckpt_every);
   if (start == 0) {
-    apply_precond(pre, mode, s.r, s.z, s.tmp, nullptr, nullptr);
+    apply_precond(pre, mode, s.r, s.z, s.tmp);
     s.p = s.z;
     s.rho = bsp::dot(s.r, s.z);
   }
@@ -238,7 +230,7 @@ CgResult run_bsp(const sparse::Csr* csr, const sparse::Csb& csb,
     const double alpha = s.rho / pq;
     bsp::axpy(alpha, s.p, s.x);
     bsp::axpy(-alpha, s.q, s.r);
-    apply_precond(pre, mode, s.r, s.z, s.tmp, nullptr, nullptr);
+    apply_precond(pre, mode, s.r, s.z, s.tmp);
     const double rho_new = bsp::dot(s.r, s.z);
     const double rr = bsp::dot(s.r, s.r);
     if (!std::isfinite(rho_new) || !std::isfinite(rr)) {
@@ -273,12 +265,11 @@ CgResult run_bsp(const sparse::Csr* csr, const sparse::Csb& csb,
 }
 
 // --------------------------------------------------------------------------
-// flux (HPX-style) version: SpMV and the vector updates run as per-block
-// dataflow tasks threaded through futures exactly like the flux lowering
-// (lowering.hpp); the IC(0) triangular solves run as the DAG-scheduled SpTRSV.
-// CG's two inner products are genuine synchronization points (alpha and
-// beta are host-side scalars), so each iteration syncs twice — the rest of
-// the graph overlaps freely across those barriers.
+// flux (HPX-style) version: each iteration is three waves of one task per
+// block row plus, for IC(0), the DAG-scheduled triangular solves, threaded
+// through futures. CG's two inner products are genuine synchronization
+// points (alpha and beta are host-side scalars), so the host waits twice per
+// iteration and sums the per-row partials in ascending order.
 // --------------------------------------------------------------------------
 
 CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
@@ -288,6 +279,7 @@ CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
   STS_EXPECTS(csb.block_size() == b);
   const index_t np = csb.block_rows();
   const index_t m = s.m;
+  const std::size_t nps = static_cast<std::size_t>(np);
 
   std::unique_ptr<flux::Scheduler> owned_sched;
   flux::Scheduler& sched = acquire_flux_pool(options, owned_sched);
@@ -295,45 +287,45 @@ CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
   perf::TraceRecorder* trace = options.trace;
 
   using Fut = flux::shared_future<void>;
-  auto ready = [] { return flux::make_ready_future(); };
-
-  auto traced = [&](graph::KernelKind kind, std::int32_t bi, auto fn) {
-    return flux_task(sched, trace, kind, bi, std::move(fn));
-  };
-
-  auto rows_in = [&](index_t p) { return std::min(b, m - p * b); };
   const sparse::Csb::DomainMap dmap =
       csb.partition_block_rows(options.numa_domains);
-  auto domain_of = [&](index_t p) -> int {
-    return options.numa_domains > 1 ? dmap.owner(p) : -1;
+  // One traced task for block row bi (-1: no row, no hint) after `deps`.
+  auto submit = [&](graph::KernelKind kind, index_t bi, auto fn,
+                    auto&&... deps) {
+    const int hint =
+        options.numa_domains > 1 && bi >= 0 ? dmap.owner(bi) : -1;
+    return flux::dataflow_hint(
+               sched, hint,
+               flux::unwrapping(flux_task(sched, trace, kind,
+                                          static_cast<std::int32_t>(bi),
+                                          std::move(fn))),
+               std::forward<decltype(deps)>(deps)...)
+        .share();
   };
+
+  const bool ic0 = pre.kind == Precond::kIc0;
   // A chain factor (every wave one block row wide) leaves the DAG nothing
-  // to overlap, only task overhead to pay: its solves run sequentially on
-  // this thread instead, with bit-identical results.
-  const TrsvMode trsv_mode = pre.plan.max_level_width() <= 1
-                                 ? TrsvMode::kCsbSequential
-                                 : TrsvMode::kCsbDag;
+  // to overlap, only task overhead to pay: both solves then run as one
+  // sequential task, with bit-identical results.
+  const bool chain = pre.plan.max_level_width() <= 1;
   // The factor's own stripe partition: its block grid differs from A's
   // (different nnz distribution), so the SpTRSV tasks hint through a map
   // computed on the factor, matching how place_csb would stripe it.
   sparse::Csb::DomainMap fdmap;
   const sparse::Csb::DomainMap* fdmap_ptr = nullptr;
-  if (trsv_mode == TrsvMode::kCsbDag && options.numa_domains > 1) {
+  if (ic0 && !chain && options.numa_domains > 1) {
     fdmap = pre.lower_csb.partition_block_rows(options.numa_domains);
     fdmap_ptr = &fdmap;
   }
 
-  // Per-piece last-writer futures and outstanding-reader sets (see the
-  // dependence walkthrough in DESIGN.md §16).
-  std::vector<Fut> p_w(static_cast<std::size_t>(np), ready());
-  std::vector<Fut> q_w(static_cast<std::size_t>(np), ready());
-  std::vector<Fut> r_w(static_cast<std::size_t>(np), ready());
-  std::vector<Fut> x_w(static_cast<std::size_t>(np), ready());
-  std::vector<Fut> z_w(static_cast<std::size_t>(np), ready());
-  std::vector<std::vector<Fut>> p_r(static_cast<std::size_t>(np));
-  std::vector<std::vector<Fut>> q_r(static_cast<std::size_t>(np));
-  std::vector<std::vector<Fut>> r_r(static_cast<std::size_t>(np));
-  std::vector<std::vector<Fut>> z_r(static_cast<std::size_t>(np));
+  // Block columns row i's SpMV applies, ascending.
+  std::vector<std::vector<index_t>> cols(nps);
+  for (index_t bi = 0; bi < np; ++bi) {
+    for (index_t bj = 0; bj < np; ++bj) {
+      if (options.skip_empty_blocks && csb.block_empty(bi, bj)) continue;
+      cols[static_cast<std::size_t>(bi)].push_back(bj);
+    }
+  }
 
   CgResult result;
   const int start = apply_restore(options, s);
@@ -341,114 +333,76 @@ CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
   if (start == 0) {
     // Setup (off the iteration clock): z0, p0, rho0 computed in place —
     // the scheduler is idle here, so the sequential apply is fine.
-    apply_precond(pre, TrsvMode::kCsbSequential, s.r, s.z, s.tmp, nullptr,
-                  nullptr);
+    apply_precond(pre, TrsvMode::kCsbSequential, s.r, s.z, s.tmp);
     s.p = s.z;
     s.rho = la::dot(s.r, s.z);
   }
   double rel = la::nrm2(s.r) / s.norm_b;
 
+  // Dependences. Sync 1 waits on every spmv_dot[i], and spmv_dot[i] waited
+  // on the writer of p_i, so from sync 1 on no task of an earlier
+  // iteration is in flight: waves 2 and 3 and the solves read and write
+  // without tracking earlier readers or writers. Only p's writers (wave 3)
+  // carry over to the next iteration's wave 1.
+  std::vector<Fut> p_w(nps, flux::make_ready_future());
+  std::vector<double> pq_part(nps, 0.0);
+  std::vector<double> rho_part(nps, 0.0);
+  std::vector<double> rr_part(nps, 0.0);
   std::vector<double>* x = &s.x;
   std::vector<double>* r = &s.r;
   std::vector<double>* p = &s.p;
   std::vector<double>* z = &s.z;
   std::vector<double>* q = &s.q;
-  const sparse::Csb* a = &csb;
-
-  // Host-side scalar cells tasks read; every reader is submitted after the
-  // host write and ordered behind it by a future the host synced on.
-  double alpha = 0.0;
-  double beta = 0.0;
-  double pq = 0.0;
-  double rho_new = 0.0;
-  double rr = 0.0;
-  std::vector<double> pq_part(static_cast<std::size_t>(np), 0.0);
-  std::vector<double> rho_part(static_cast<std::size_t>(np), 0.0);
-  std::vector<double> rr_part(static_cast<std::size_t>(np), 0.0);
   std::vector<double>* pqp = &pq_part;
   std::vector<double>* rhop = &rho_part;
   std::vector<double>* rrp = &rr_part;
+  const sparse::Csb* a = &csb;
+  const CgPreconditioner* prep = &pre;
+  // Block row bi of a vector.
+  auto row = [b, m](std::vector<double>* v, index_t bi) {
+    return std::span<double>(v->data() + bi * b,
+                             static_cast<std::size_t>(std::min(b, m - bi * b)));
+  };
+  // rho partial of row i: r_i . z_i, once both are final.
+  auto rho_row = [row, r, z, rhop](index_t bi) {
+    (*rhop)[static_cast<std::size_t>(bi)] = la::dot(row(r, bi), row(z, bi));
+  };
+  auto sum = [](const std::vector<double>& parts) {
+    double acc = 0.0;
+    for (const double v : parts) acc += v;
+    return acc;
+  };
 
   const support::Timer timer;
+  std::vector<Fut> wave(nps);
   for (int i = start; i < cg_options.max_iterations && rel > cg_options.tol;
        ++i) {
     poll_cancel(options);
     obs::IterScope iter("cg.flux", i);
 
-    // q = A p: zero chain + one task per nonempty block.
-    std::vector<Fut> q_chain(static_cast<std::size_t>(np));
+    // Wave 1: q_i = sum_j A_ij p_j (ascending j) and the p_i . q_i partial.
     for (index_t bi = 0; bi < np; ++bi) {
-      const index_t r0 = bi * b;
-      const index_t nr = rows_in(bi);
-      auto zero = traced(graph::KernelKind::kZero,
-                         static_cast<std::int32_t>(bi), [q, r0, nr] {
-                           std::fill_n(q->begin() + r0, nr, 0.0);
-                         });
-      q_chain[static_cast<std::size_t>(bi)] =
-          flux::dataflow_hint(sched, domain_of(bi), flux::unwrapping(zero),
-                              q_w[static_cast<std::size_t>(bi)],
-                              std::move(q_r[static_cast<std::size_t>(bi)]))
-              .share();
-      q_r[static_cast<std::size_t>(bi)].clear();
-    }
-    for (index_t bi = 0; bi < np; ++bi) {
-      for (index_t bj = 0; bj < np; ++bj) {
-        if (options.skip_empty_blocks && a->block_empty(bi, bj)) continue;
-        auto body = traced(graph::KernelKind::kSpMV,
-                           static_cast<std::int32_t>(bi), [p, q, a, bi, bj] {
-                             sparse::csb_block_spmv(
-                                 *a, bi, bj,
-                                 {p->data(), p->size()},
-                                 {q->data(), q->size()});
-                           });
-        Fut f = flux::dataflow_hint(sched, domain_of(bi),
-                                    flux::unwrapping(body),
-                                    q_chain[static_cast<std::size_t>(bi)],
-                                    p_w[static_cast<std::size_t>(bj)])
-                    .share();
-        q_chain[static_cast<std::size_t>(bi)] = f;
-        p_r[static_cast<std::size_t>(bj)].push_back(f);
+      const std::vector<index_t>* cols_i = &cols[static_cast<std::size_t>(bi)];
+      // The writers of the p pieces it reads; p_i (for the dot) may repeat.
+      std::vector<Fut> deps{p_w[static_cast<std::size_t>(bi)]};
+      for (const index_t bj : *cols_i) {
+        deps.push_back(p_w[static_cast<std::size_t>(bj)]);
       }
+      wave[static_cast<std::size_t>(bi)] = submit(
+          graph::KernelKind::kSpMV, bi,
+          [a, p, q, pqp, row, cols_i, bi] {
+            const std::span<double> qi = row(q, bi);
+            std::fill(qi.begin(), qi.end(), 0.0);
+            for (const index_t bj : *cols_i) {
+              sparse::csb_block_spmv(*a, bi, bj, *p, *q);
+            }
+            (*pqp)[static_cast<std::size_t>(bi)] = la::dot(row(p, bi), qi);
+          },
+          std::move(deps));
     }
-    for (index_t bi = 0; bi < np; ++bi) {
-      q_w[static_cast<std::size_t>(bi)] =
-          q_chain[static_cast<std::size_t>(bi)];
-    }
-
-    // pq = p . q: partials, reduce, host sync (alpha needs the value).
-    std::vector<Fut> dp(static_cast<std::size_t>(np));
-    for (index_t pi = 0; pi < np; ++pi) {
-      const index_t r0 = pi * b;
-      const index_t nr = rows_in(pi);
-      auto body = traced(graph::KernelKind::kDotPartial,
-                         static_cast<std::int32_t>(pi), [p, q, pqp, r0, nr,
-                                                         pi] {
-                           (*pqp)[static_cast<std::size_t>(pi)] = la::dot(
-                               {p->data() + r0, static_cast<std::size_t>(nr)},
-                               {q->data() + r0, static_cast<std::size_t>(nr)});
-                         });
-      dp[static_cast<std::size_t>(pi)] =
-          flux::dataflow_hint(sched, domain_of(pi), flux::unwrapping(body),
-                              q_w[static_cast<std::size_t>(pi)],
-                              p_w[static_cast<std::size_t>(pi)])
-              .share();
-    }
-    double* pq_cell = &pq;
-    Fut pq_f = flux::dataflow(
-                   sched,
-                   flux::unwrapping(traced(graph::KernelKind::kReduce, -1,
-                                           [pqp, pq_cell, np] {
-                                             double acc = 0.0;
-                                             for (index_t pi = 0; pi < np;
-                                                  ++pi) {
-                                               acc += (*pqp)[static_cast<
-                                                   std::size_t>(pi)];
-                                             }
-                                             *pq_cell = acc;
-                                           })),
-                   dp)
-                   .share();
-    pq_f.get(&sched);
+    // Sync 1: alpha.
+    for (Fut& f : wave) f.get(&sched);
+    const double pq = sum(pq_part);
     if (!std::isfinite(pq)) {
       result.status = SolverStatus::kNotFinite;
       break;
@@ -457,170 +411,70 @@ CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
       result.status = SolverStatus::kBreakdown;
       break;
     }
-    alpha = s.rho / pq;
+    const double alpha = s.rho / pq;
 
-    // x += alpha p ; r -= alpha q.
-    const double* alpha_cell = &alpha;
-    for (index_t pi = 0; pi < np; ++pi) {
-      const index_t r0 = pi * b;
-      const index_t nr = rows_in(pi);
-      auto xbody = traced(graph::KernelKind::kAxpy,
-                          static_cast<std::int32_t>(pi),
-                          [x, p, alpha_cell, r0, nr] {
-                            la::axpy(*alpha_cell,
-                                     {p->data() + r0,
-                                      static_cast<std::size_t>(nr)},
-                                     {x->data() + r0,
-                                      static_cast<std::size_t>(nr)});
-                          });
-      Fut xf = flux::dataflow_hint(sched, domain_of(pi),
-                                   flux::unwrapping(xbody),
-                                   x_w[static_cast<std::size_t>(pi)],
-                                   p_w[static_cast<std::size_t>(pi)])
-                   .share();
-      x_w[static_cast<std::size_t>(pi)] = xf;
-      p_r[static_cast<std::size_t>(pi)].push_back(xf);
-
-      auto rbody = traced(graph::KernelKind::kAxpy,
-                          static_cast<std::int32_t>(pi),
-                          [r, q, alpha_cell, r0, nr] {
-                            la::axpy(-*alpha_cell,
-                                     {q->data() + r0,
-                                      static_cast<std::size_t>(nr)},
-                                     {r->data() + r0,
-                                      static_cast<std::size_t>(nr)});
-                          });
-      Fut rf = flux::dataflow_hint(sched, domain_of(pi),
-                                   flux::unwrapping(rbody),
-                                   r_w[static_cast<std::size_t>(pi)],
-                                   q_w[static_cast<std::size_t>(pi)],
-                                   std::move(r_r[static_cast<std::size_t>(pi)]))
-                   .share();
-      r_w[static_cast<std::size_t>(pi)] = rf;
-      r_r[static_cast<std::size_t>(pi)].clear();
-      q_r[static_cast<std::size_t>(pi)].push_back(rf);
+    // Wave 2: x_i += alpha p_i, r_i -= alpha q_i, the r_i . r_i partial
+    // and, without IC(0), z_i = M^-1 r_i and its rho partial.
+    for (index_t bi = 0; bi < np; ++bi) {
+      wave[static_cast<std::size_t>(bi)] = submit(
+          graph::KernelKind::kAxpy, bi,
+          [x, r, p, q, z, rrp, prep, row, rho_row, alpha, ic0, bi, b] {
+            const std::span<double> ri = row(r, bi);
+            la::axpy(alpha, row(p, bi), row(x, bi));
+            la::axpy(-alpha, row(q, bi), ri);
+            (*rrp)[static_cast<std::size_t>(bi)] = la::dot(ri, ri);
+            if (ic0) return;
+            const std::span<double> zi = row(z, bi);
+            if (prep->kind == Precond::kJacobi) {
+              const double* d = prep->inv_diag.data() + bi * b;
+              for (std::size_t k = 0; k < zi.size(); ++k) zi[k] = ri[k] * d[k];
+            } else {
+              std::copy(ri.begin(), ri.end(), zi.begin());
+            }
+            rho_row(bi);
+          });
     }
 
-    // z = M^-1 r.
-    if (pre.kind == Precond::kIc0) {
-      // The solves read all of r and write all of z: drain the r writers
-      // and z readers first, then run the two solves — DAG tasks carry the
-      // level-schedule dependencies internally.
-      for (index_t pi = 0; pi < np; ++pi) {
-        r_w[static_cast<std::size_t>(pi)].get(&sched);
-        for (Fut& f : z_r[static_cast<std::size_t>(pi)]) f.get(&sched);
-        z_r[static_cast<std::size_t>(pi)].clear();
-      }
-      apply_precond(pre, trsv_mode, s.r, s.z, s.tmp, &sched, fdmap_ptr);
-      for (index_t pi = 0; pi < np; ++pi) {
-        z_w[static_cast<std::size_t>(pi)] = ready();
-      }
-    } else {
-      const CgPreconditioner* prep = &pre;
-      for (index_t pi = 0; pi < np; ++pi) {
-        const index_t r0 = pi * b;
-        const index_t nr = rows_in(pi);
-        auto body = traced(graph::KernelKind::kScale,
-                           static_cast<std::int32_t>(pi),
-                           [prep, r, z, r0, nr] {
-                             if (prep->kind == Precond::kJacobi) {
-                               const std::vector<double>& d = prep->inv_diag;
-                               for (index_t k = 0; k < nr; ++k) {
-                                 (*z)[static_cast<std::size_t>(r0 + k)] =
-                                     (*r)[static_cast<std::size_t>(r0 + k)] *
-                                     d[static_cast<std::size_t>(r0 + k)];
-                               }
-                             } else {
-                               std::copy_n(r->begin() + r0, nr,
-                                           z->begin() + r0);
-                             }
-                           });
-        Fut zf = flux::dataflow_hint(
-                     sched, domain_of(pi), flux::unwrapping(body),
-                     r_w[static_cast<std::size_t>(pi)],
-                     std::move(z_r[static_cast<std::size_t>(pi)]))
-                     .share();
-        z_w[static_cast<std::size_t>(pi)] = zf;
-        z_r[static_cast<std::size_t>(pi)].clear();
-        r_r[static_cast<std::size_t>(pi)].push_back(zf);
-      }
+    // z = L^-T L^-1 r, each forward row starting as soon as its r_i is
+    // updated; backward row j computes its rho partial once z_j is final.
+    if (ic0 && chain) {
+      Fut solve = submit(
+          graph::KernelKind::kSpTRSV, -1,
+          [prep, r, z, s_tmp = &s.tmp, rho_row, np] {
+            la::sptrsv_forward(prep->lower_csb, prep->plan, *r, *s_tmp);
+            la::sptrsv_backward(prep->lower_csb, prep->plan, *s_tmp, *z);
+            for (index_t bi = 0; bi < np; ++bi) rho_row(bi);
+          },
+          std::move(wave));
+      wave.assign(nps, solve);
+    } else if (ic0) {
+      wave = la::sptrsv_backward(
+          pre.lower_csb, pre.plan, s.tmp, s.z, sched, fdmap_ptr,
+          la::sptrsv_forward(pre.lower_csb, pre.plan, s.r, s.tmp, sched,
+                             fdmap_ptr, std::move(wave)),
+          rho_row);
     }
-
-    // rho_new = r . z and rr = r . r in one partial wave, reduce, sync.
-    std::vector<Fut> rp(static_cast<std::size_t>(np));
-    for (index_t pi = 0; pi < np; ++pi) {
-      const index_t r0 = pi * b;
-      const index_t nr = rows_in(pi);
-      auto body = traced(graph::KernelKind::kDotPartial,
-                         static_cast<std::int32_t>(pi),
-                         [r, z, rhop, rrp, r0, nr, pi] {
-                           const std::span<const double> rs{
-                               r->data() + r0, static_cast<std::size_t>(nr)};
-                           (*rhop)[static_cast<std::size_t>(pi)] = la::dot(
-                               rs, {z->data() + r0,
-                                    static_cast<std::size_t>(nr)});
-                           (*rrp)[static_cast<std::size_t>(pi)] =
-                               la::dot(rs, rs);
-                         });
-      Fut f = flux::dataflow_hint(sched, domain_of(pi),
-                                  flux::unwrapping(body),
-                                  z_w[static_cast<std::size_t>(pi)],
-                                  r_w[static_cast<std::size_t>(pi)])
-                  .share();
-      rp[static_cast<std::size_t>(pi)] = f;
-      r_r[static_cast<std::size_t>(pi)].push_back(f);
-      z_r[static_cast<std::size_t>(pi)].push_back(f);
-    }
-    double* rho_cell = &rho_new;
-    double* rr_cell = &rr;
-    Fut rho_f =
-        flux::dataflow(sched,
-                       flux::unwrapping(traced(
-                           graph::KernelKind::kReduce, -1,
-                           [rhop, rrp, rho_cell, rr_cell, np] {
-                             double arho = 0.0;
-                             double arr = 0.0;
-                             for (index_t pi = 0; pi < np; ++pi) {
-                               arho += (*rhop)[static_cast<std::size_t>(pi)];
-                               arr += (*rrp)[static_cast<std::size_t>(pi)];
-                             }
-                             *rho_cell = arho;
-                             *rr_cell = arr;
-                           })),
-                       rp)
-            .share();
-    rho_f.get(&sched);
+    // Sync 2: beta and the residual.
+    for (Fut& f : wave) f.get(&sched);
+    const double rho_new = sum(rho_part);
+    const double rr = sum(rr_part);
     if (!std::isfinite(rho_new) || !std::isfinite(rr)) {
       result.status = SolverStatus::kNotFinite;
       break;
     }
-    beta = rho_new / s.rho;
+    const double beta = rho_new / s.rho;
     s.rho = rho_new;
 
-    // p = z + beta p.
-    const double* beta_cell = &beta;
-    for (index_t pi = 0; pi < np; ++pi) {
-      const index_t r0 = pi * b;
-      const index_t nr = rows_in(pi);
-      auto body = traced(graph::KernelKind::kScale,
-                         static_cast<std::int32_t>(pi),
-                         [p, z, beta_cell, r0, nr] {
-                           const double bb = *beta_cell;
-                           for (index_t k = 0; k < nr; ++k) {
-                             (*p)[static_cast<std::size_t>(r0 + k)] =
-                                 (*z)[static_cast<std::size_t>(r0 + k)] +
-                                 bb * (*p)[static_cast<std::size_t>(r0 + k)];
-                           }
-                         });
-      Fut pf = flux::dataflow_hint(
-                   sched, domain_of(pi), flux::unwrapping(body),
-                   p_w[static_cast<std::size_t>(pi)],
-                   z_w[static_cast<std::size_t>(pi)],
-                   std::move(p_r[static_cast<std::size_t>(pi)]))
-                   .share();
-      p_w[static_cast<std::size_t>(pi)] = pf;
-      p_r[static_cast<std::size_t>(pi)].clear();
-      z_r[static_cast<std::size_t>(pi)].push_back(pf);
+    // Wave 3: p_i = z_i + beta p_i.
+    for (index_t bi = 0; bi < np; ++bi) {
+      p_w[static_cast<std::size_t>(bi)] = submit(
+          graph::KernelKind::kScale, bi, [p, z, row, beta, bi] {
+            const std::span<double> pi = row(p, bi);
+            const std::span<double> zi = row(z, bi);
+            for (std::size_t k = 0; k < pi.size(); ++k) {
+              pi[k] = zi[k] + beta * pi[k];
+            }
+          });
     }
 
     rel = std::sqrt(rr) / s.norm_b;
@@ -629,7 +483,7 @@ CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
     iter.metric("residual", rel);
     publish_residual(rel);
     ++result.timing.iterations;
-    // Checkpointing needs x/r/p fully written, not just the reduce gets.
+    // Checkpointing needs x/r/p fully written, not just the syncs.
     if (!options.ckpt_path.empty() && (i + 1) % every == 0) {
       sched.wait_for_quiescence();
       maybe_checkpoint(options, s, i + 1, every);

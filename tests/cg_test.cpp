@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cctype>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "flux/future.hpp"
 #include "flux/scheduler.hpp"
+#include "la/blas.hpp"
 #include "la/sptrsv.hpp"
 #include "obs/obs.hpp"
 #include "perf/trace.hpp"
@@ -233,6 +237,66 @@ TEST(Sptrsv, DagExecutionMatchesSequential) {
   // Same per-block kernels in both paths: results are bit-identical.
   EXPECT_EQ(seq_f, dag_f);
   EXPECT_EQ(seq_b, dag_b);
+}
+
+// The dataflow forms start row i only once its input future is ready. The
+// inputs come from held promises, released one row at a time right after
+// that row of b is written; b starts as NaN, so a row that ran early would
+// show in the result as well as in the hook's check.
+TEST(Sptrsv, DataflowRowsWaitForTheirInputs) {
+  const index_t block = 16;
+  const Problem p = wide_problem(block);
+  const sparse::Ic0Result fac = sparse::ic0_factor(p.csr);
+  const sparse::Csb lcsb = sparse::Csb::from_csr(fac.lower, block);
+  const la::SptrsvPlan plan = la::SptrsvPlan::build(lcsb);
+  const index_t nb = lcsb.block_rows();
+  const std::vector<double> b = random_vec(p.csr.rows(), 13);
+  std::vector<double> seq_f(b.size(), 0.0), seq_b(b.size(), 0.0);
+  la::sptrsv_forward(lcsb, plan, b, seq_f);
+  la::sptrsv_backward(lcsb, plan, b, seq_b);
+
+  flux::Scheduler::Config cfg;
+  cfg.threads = 4;
+  flux::Scheduler sched(cfg);
+  for (const bool forward : {true, false}) {
+    SCOPED_TRACE(forward ? "forward" : "backward");
+    std::vector<double> staged(b.size(), std::nan(""));
+    std::vector<double> x(b.size(), 0.0);
+    std::vector<flux::promise<void>> gates(static_cast<std::size_t>(nb));
+    la::RowFutures in;
+    for (const flux::promise<void>& g : gates) {
+      in.push_back(g.get_shared_future());
+    }
+    std::vector<std::atomic<bool>> released(static_cast<std::size_t>(nb));
+    std::atomic<int> ran{0};
+    std::atomic<int> early{0};
+    la::RowHook hook = [&](index_t row) {
+      if (!released[static_cast<std::size_t>(row)].load()) early.fetch_add(1);
+      ran.fetch_add(1);
+    };
+    la::RowFutures done =
+        forward ? la::sptrsv_forward(lcsb, plan, staged, x, sched, nullptr,
+                                     std::move(in), hook)
+                : la::sptrsv_backward(lcsb, plan, staged, x, sched, nullptr,
+                                      std::move(in), hook);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_EQ(ran.load(), 0);
+    // Release against the solve's own order, so rows wait on the DAG too.
+    for (index_t k = 0; k < nb; ++k) {
+      const index_t row = forward ? nb - 1 - k : k;
+      const std::size_t r0 = static_cast<std::size_t>(row * block);
+      const std::size_t nr =
+          static_cast<std::size_t>(lcsb.rows_in_block(row));
+      std::copy_n(b.begin() + static_cast<std::ptrdiff_t>(r0), nr,
+                  staged.begin() + static_cast<std::ptrdiff_t>(r0));
+      released[static_cast<std::size_t>(row)].store(true);
+      gates[static_cast<std::size_t>(row)].set_value();
+    }
+    for (flux::shared_future<void>& f : done) f.get(&sched);
+    EXPECT_EQ(early.load(), 0);
+    EXPECT_EQ(ran.load(), nb);
+    EXPECT_EQ(x, forward ? seq_f : seq_b);
+  }
 }
 
 // ---- Randomized properties -----------------------------------------------
@@ -632,6 +696,130 @@ TEST(CgConcurrency, TwoFluxSolvesShareOnePreconditioner) {
   }
   for (std::thread& t : threads) t.join();
   for (const CgResult& r : results) expect_bitwise_equal(r, alone);
+}
+
+// ---- flux CG task structure ---------------------------------------------
+
+/// Flux CG's arithmetic as a plain host loop: rho0 by la::dot over the whole
+/// vector, the in-loop dots as per-block-row partials summed in ascending
+/// order, q_i accumulated over the nonempty blocks in ascending j, and z by
+/// the sequential block SpTRSV.
+CgResult block_order_reference(const Problem& p, const CgPreconditioner& pre,
+                               const CgOptions& c, const SolverOptions& o) {
+  const index_t m = p.csr.rows();
+  const index_t b = o.block_size;
+  const index_t np = p.csb.block_rows();
+  const std::size_t n = static_cast<std::size_t>(m);
+  std::vector<double> rhs(n);
+  support::Xoshiro256 rng(o.seed);
+  for (double& v : rhs) v = rng.uniform(-1.0, 1.0);
+  const double norm_b = la::nrm2(rhs);
+  std::vector<double> x(n, 0.0), r = rhs, z(n), q(n), tmp(n);
+  auto precond = [&] {
+    if (pre.kind == Precond::kIc0) {
+      la::sptrsv_forward(pre.lower_csb, pre.plan, r, tmp);
+      la::sptrsv_backward(pre.lower_csb, pre.plan, tmp, z);
+    } else {
+      for (std::size_t k = 0; k < n; ++k) {
+        z[k] = pre.kind == Precond::kJacobi ? r[k] * pre.inv_diag[k] : r[k];
+      }
+    }
+  };
+  auto block_dot = [&](const std::vector<double>& u,
+                       const std::vector<double>& v) {
+    double acc = 0.0;
+    for (index_t bi = 0; bi < np; ++bi) {
+      const std::size_t r0 = static_cast<std::size_t>(bi * b);
+      const std::size_t nr = static_cast<std::size_t>(std::min(b, m - bi * b));
+      acc += la::dot({u.data() + r0, nr}, {v.data() + r0, nr});
+    }
+    return acc;
+  };
+
+  precond();
+  std::vector<double> dir = z;
+  double rho = la::dot(r, z);
+  double rel = la::nrm2(r) / norm_b;
+  CgResult out;
+  for (int it = 0; it < c.max_iterations && rel > c.tol; ++it) {
+    std::fill(q.begin(), q.end(), 0.0);
+    for (index_t bi = 0; bi < np; ++bi) {
+      for (index_t bj = 0; bj < np; ++bj) {
+        if (!p.csb.block_empty(bi, bj)) {
+          sparse::csb_block_spmv(p.csb, bi, bj, dir, q);
+        }
+      }
+    }
+    const double alpha = rho / block_dot(dir, q);
+    la::axpy(alpha, dir, x);
+    la::axpy(-alpha, q, r);
+    precond();
+    const double rho_new = block_dot(r, z);
+    const double beta = rho_new / rho;
+    rho = rho_new;
+    for (std::size_t k = 0; k < n; ++k) dir[k] = z[k] + beta * dir[k];
+    rel = std::sqrt(block_dot(r, r)) / norm_b;
+    ++out.iterations;
+    out.residual_norms.push_back(rel);
+  }
+  out.x = std::move(x);
+  return out;
+}
+
+// Fusing the per-row work into waves changes the task graph, not the
+// arithmetic: flux CG equals the block-order reference bit for bit, for
+// every preconditioner, on a chain factor and on a wide one.
+TEST(CgFlux, MatchesBlockOrderReferenceBitwise) {
+  for (const Problem& p : {spd_problem(16), wide_problem(16)}) {
+    ASSERT_GT(p.csb.block_rows(), 1);
+    const SolverOptions opts = base_options(16);
+    for (const Precond pc :
+         {Precond::kNone, Precond::kJacobi, Precond::kIc0}) {
+      const CgPreconditioner pre = CgPreconditioner::build(p.csr, pc, 16);
+      SCOPED_TRACE(std::string(to_string(pc)) + ", widest SpTRSV level " +
+                   std::to_string(pre.plan.max_level_width()));
+      const CgResult want = block_order_reference(p, pre, tight(pc), opts);
+      const CgResult got =
+          cg(p.csr, p.csb, Version::kFlux, pre, tight(pc), opts);
+      ASSERT_TRUE(got.converged);
+      EXPECT_EQ(got.x, want.x);
+      EXPECT_EQ(got.residual_norms, want.residual_norms);
+      EXPECT_EQ(got.iterations, want.iterations);
+    }
+  }
+}
+
+/// Tasks one flux CG solve ran on a pool of its own, per iteration.
+double flux_tasks_per_iteration(const Problem& p, Precond pc) {
+  const CgPreconditioner pre = CgPreconditioner::build(p.csr, pc, 16);
+  flux::Scheduler::Config cfg;
+  cfg.threads = 2;
+  flux::Scheduler pool(cfg);
+  SolverOptions opts = base_options(16);
+  opts.flux_pool = &pool;
+  const CgResult r = cg(p.csr, p.csb, Version::kFlux, pre, tight(pc), opts);
+  EXPECT_TRUE(r.converged);
+  return static_cast<double>(pool.stats().executed) / r.iterations;
+}
+
+// Each iteration is three waves of one task per block row (SpMV + p.q,
+// the updates, p = z + beta p); a wide IC(0) factor adds one forward and
+// one backward SpTRSV task per block row, a chain factor one task for both
+// solves. There are no set-up tasks: z0, p0 and rho0 are computed on the
+// host, and the host itself sums the dot partials at its two syncs.
+TEST(CgFlux, ThreeTasksPerBlockRowPerIteration) {
+  const Problem wide = wide_problem(16);
+  const double np = static_cast<double>(wide.csb.block_rows());
+  EXPECT_EQ(flux_tasks_per_iteration(wide, Precond::kNone), 3 * np);
+  EXPECT_EQ(flux_tasks_per_iteration(wide, Precond::kJacobi), 3 * np);
+  ASSERT_GT(CgPreconditioner::build(wide.csr, Precond::kIc0, 16)
+                .plan.max_level_width(),
+            1);
+  EXPECT_EQ(flux_tasks_per_iteration(wide, Precond::kIc0), 5 * np);
+
+  const Problem chain = spd_problem(16);
+  EXPECT_EQ(flux_tasks_per_iteration(chain, Precond::kIc0),
+            3 * static_cast<double>(chain.csb.block_rows()) + 1);
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "flux/dataflow.hpp"
+#include "obs/obs.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
 #include "support/rng.hpp"
@@ -32,6 +33,37 @@ TEST(Scheduler, RunsSubmittedTasks) {
   s.wait_for_quiescence();
   EXPECT_EQ(count.load(), 100);
   EXPECT_EQ(s.stats().executed, 100u);
+}
+
+// Tasks a waiting host runs inside get() count like the workers' own, in
+// stats() and in the flux.tasks_executed counter. The only worker is held
+// in a task, so every submitted task runs on the host.
+TEST(Scheduler, ExecutedCountsTasksRunByHelpers) {
+  Scheduler s(cfg(1));
+  const obs::Counter& counter = obs::counter("flux.tasks_executed");
+  const std::uint64_t counted_before = counter.value();
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  s.submit([&] {
+    holding.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!holding.load()) std::this_thread::yield();
+
+  constexpr int kTasks = 50;
+  std::atomic<int> ran{0};
+  std::vector<future<void>> futs;
+  for (int i = 0; i < kTasks; ++i) {
+    futs.push_back(async(s, [&ran] { ran.fetch_add(1); }));
+  }
+  for (future<void>& f : futs) f.get(&s);
+  EXPECT_EQ(ran.load(), kTasks);
+  EXPECT_EQ(s.stats().executed, static_cast<std::uint64_t>(kTasks));
+  release.store(true);
+  s.wait_for_quiescence();
+  EXPECT_EQ(s.stats().executed, static_cast<std::uint64_t>(kTasks) + 1);
+  EXPECT_EQ(counter.value() - counted_before,
+            static_cast<std::uint64_t>(kTasks) + 1);
 }
 
 TEST(Scheduler, NestedSubmissionsComplete) {

@@ -117,10 +117,11 @@ stage_tsan() {
   "$tsan_build/tests/dispatch_test" \
     --gtest_filter='FairQueueTest.*:DispatchPolicy.*:PartitionCpus.*:Carve.*'
   # Flux CG runner: two solves on their own pools sharing one cached IC(0)
-  # preconditioner (the service's warm-job case). The matrix, factor and
-  # solves stay outside OpenMP, so every report here is real.
+  # preconditioner (the service's warm-job case), and the fused per-row
+  # waves with the dataflow SpTRSV inside the iteration graph. The matrix,
+  # factor and solves stay outside OpenMP, so every report here is real.
   cmake --build "$tsan_build" -j "$jobs" --target cg_test
-  "$tsan_build/tests/cg_test" --gtest_filter='CgConcurrency.*'
+  "$tsan_build/tests/cg_test" --gtest_filter='CgConcurrency.*:CgFlux.*'
 }
 
 stage_bench() {
