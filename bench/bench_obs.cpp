@@ -7,8 +7,8 @@
 //   - counter/histogram writes (the always-hot primitives),
 //   - coherent histogram + registry snapshots (the scrape path),
 //   - Prometheus text rendering,
-//   - publish_task with everything off, with metrics, and inside a per-job
-//     trace capture window,
+//   - publish_task with everything off, with metrics, and from a job-tagged
+//     thread (the stsd live path),
 //   - the profiler's TaskMark with sampling off and on,
 //   - IterScope with telemetry off and with metrics enabled.
 #include <benchmark/benchmark.h>
@@ -101,7 +101,7 @@ void BM_PublishTaskOff(benchmark::State& state) {
   obs::disable();
   const perf::TaskEvent ev = bench_event();
   for (auto _ : state) {
-    obs::publish_task("bench", ev, nullptr);
+    obs::publish_task("bench", ev);
   }
 }
 BENCHMARK(BM_PublishTaskOff);
@@ -110,21 +110,21 @@ void BM_PublishTaskMetrics(benchmark::State& state) {
   obs::enable_metrics(""); // collect only
   const perf::TaskEvent ev = bench_event();
   for (auto _ : state) {
-    obs::publish_task("bench", ev, nullptr);
+    obs::publish_task("bench", ev);
   }
   obs::disable();
 }
 BENCHMARK(BM_PublishTaskMetrics);
 
 void BM_PublishTaskJobCapture(benchmark::State& state) {
-  // The stsd live path: no global tracing, but a per-job capture window is
-  // open, so every event also lands in the byte-bounded ring.
+  // The stsd live path: no global tracing, but the thread holds a job tag,
+  // so every event lands in the log under the job's byte budget.
   obs::disable();
   obs::set_job_trace_capacity(std::size_t{4} << 20);
   obs::begin_job_trace(1, "bench-trace");
   const perf::TaskEvent ev = bench_event();
   for (auto _ : state) {
-    obs::publish_task("bench", ev, nullptr);
+    obs::publish_task("bench", ev);
   }
   obs::end_job_trace();
 }

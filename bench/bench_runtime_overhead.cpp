@@ -133,7 +133,7 @@ void BM_DsExecuteOverhead(benchmark::State& state) {
     g.add_task(std::move(t));
   }
   for (auto _ : state) {
-    ds::execute(g, {.mode = ds::ExecMode::kOmpTasks, .trace = nullptr});
+    ds::execute(g, {.mode = ds::ExecMode::kOmpTasks});
   }
   state.SetItemsProcessed(state.iterations() * 1024);
   state.SetLabel(state.range(0) != 0 ? "telemetry on" : "telemetry off");

@@ -1,7 +1,8 @@
 // Execution-flow tracing (the instrument behind the paper's Figs. 10/13):
-// runs task-parallel Lanczos under the flux runtime with the trace recorder
-// attached, renders the flow graph in the terminal, writes it as CSV, and
-// dumps the Listing-1 task graph (paper Fig. 3) as Graphviz DOT.
+// runs task-parallel Lanczos under the flux runtime with tracing on, reads
+// its task events back from the event log (obs::task_events()), renders
+// the flow graph in the terminal, writes it as CSV, and dumps the
+// Listing-1 task graph (paper Fig. 3) as Graphviz DOT.
 //
 //   ./flow_trace [out-prefix]
 #include <cstdio>
@@ -9,6 +10,7 @@
 #include <iostream>
 
 #include "ds/program.hpp"
+#include "obs/obs.hpp"
 #include "perf/trace.hpp"
 #include "solvers/lanczos.hpp"
 #include "sparse/generators.hpp"
@@ -22,14 +24,13 @@ int main(int argc, char** argv) {
   const la::index_t block = 256;
   sparse::Csb csb = sparse::Csb::from_coo(coo, block);
 
-  perf::TraceRecorder trace(8);
   solver::SolverOptions options;
   options.block_size = block;
   options.threads = 2;
-  options.trace = &trace;
+  obs::enable_tracing(""); // record in memory; nothing written at exit
   (void)solver::lanczos(csr, csb, 3, solver::Version::kFlux, options);
-
-  const auto events = trace.events();
+  const auto events = obs::task_events();
+  obs::disable();
   std::printf("recorded %zu task events over 3 Lanczos iterations\n\n",
               events.size());
   const perf::FlowGraph fg = perf::build_flow_graph(events, 120);

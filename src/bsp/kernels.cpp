@@ -45,12 +45,13 @@ private:
 
 } // namespace
 
-// The matrix and multivector kernels time each thread's share of the
-// parallel region through obs::RegionTimer: the split `parallel` +
-// `for nowait` form below is equivalent to the combined `parallel for`
-// (same scheduling, same implicit barrier at region end) but exposes the
-// per-thread begin/end the barrier-imbalance metric needs. With telemetry
-// off the timer calls reduce to a branch on a cached flag.
+// The matrix and multivector kernels run each thread's share of the
+// parallel region through obs::RegionTimer::run: the split `parallel` +
+// orphaned `for nowait` form below is equivalent to the combined
+// `parallel for` (same scheduling, same implicit barrier at region end)
+// but gives each thread one task event and the barrier-imbalance metric
+// its per-thread time. With telemetry off run() is a branch around the
+// body.
 
 void spmv(const sparse::Csr& a, std::span<const double> x,
           std::span<double> y) {
@@ -58,15 +59,12 @@ void spmv(const sparse::Csr& a, std::span<const double> x,
   obs::RegionTimer region("bsp", graph::KernelKind::kSpMV,
                           omp_get_max_threads());
 #pragma omp parallel
-  {
-    const int tid = omp_get_thread_num();
-    region.thread_begin(tid);
+  region.run(omp_get_thread_num(), [&] {
 #pragma omp for schedule(dynamic, 512) nowait
     for (index_t r = 0; r < rows; ++r) {
       sparse::csr_spmv_range(a, x, y, r, r + 1);
     }
-    region.thread_end(tid);
-  }
+  });
 }
 
 void spmm(const sparse::Csr& a, ConstMatrixView x, MatrixView y) {
@@ -74,15 +72,12 @@ void spmm(const sparse::Csr& a, ConstMatrixView x, MatrixView y) {
   obs::RegionTimer region("bsp", graph::KernelKind::kSpMM,
                           omp_get_max_threads());
 #pragma omp parallel
-  {
-    const int tid = omp_get_thread_num();
-    region.thread_begin(tid);
+  region.run(omp_get_thread_num(), [&] {
 #pragma omp for schedule(dynamic, 256) nowait
     for (index_t r = 0; r < rows; ++r) {
       sparse::csr_spmm_range(a, x, y, r, r + 1);
     }
-    region.thread_end(tid);
-  }
+  });
 }
 
 void spmv(const sparse::Csb& a, std::span<const double> x,
@@ -92,9 +87,7 @@ void spmv(const sparse::Csb& a, std::span<const double> x,
   obs::RegionTimer region("bsp", graph::KernelKind::kSpMV,
                           omp_get_max_threads());
 #pragma omp parallel
-  {
-    const int tid = omp_get_thread_num();
-    region.thread_begin(tid);
+  region.run(omp_get_thread_num(), [&] {
 #pragma omp for schedule(dynamic, 1) nowait
     for (index_t bi = 0; bi < nb; ++bi) {
       latch.run([&] {
@@ -104,8 +97,7 @@ void spmv(const sparse::Csb& a, std::span<const double> x,
         }
       });
     }
-    region.thread_end(tid);
-  }
+  });
   latch.rethrow();
 }
 
@@ -115,9 +107,7 @@ void spmm(const sparse::Csb& a, ConstMatrixView x, MatrixView y) {
   obs::RegionTimer region("bsp", graph::KernelKind::kSpMM,
                           omp_get_max_threads());
 #pragma omp parallel
-  {
-    const int tid = omp_get_thread_num();
-    region.thread_begin(tid);
+  region.run(omp_get_thread_num(), [&] {
 #pragma omp for schedule(dynamic, 1) nowait
     for (index_t bi = 0; bi < nb; ++bi) {
       latch.run([&] {
@@ -127,8 +117,7 @@ void spmm(const sparse::Csb& a, ConstMatrixView x, MatrixView y) {
         }
       });
     }
-    region.thread_end(tid);
-  }
+  });
   latch.rethrow();
 }
 
@@ -145,9 +134,7 @@ void xy(ConstMatrixView x, ConstMatrixView z, MatrixView y, index_t chunk,
   obs::RegionTimer region("bsp", graph::KernelKind::kXY,
                           omp_get_max_threads());
 #pragma omp parallel
-  {
-    const int tid = omp_get_thread_num();
-    region.thread_begin(tid);
+  region.run(omp_get_thread_num(), [&] {
 #pragma omp for schedule(dynamic, 1) nowait
     for (index_t c = 0; c < nchunks; ++c) {
       const index_t r0 = c * chunk;
@@ -155,8 +142,7 @@ void xy(ConstMatrixView x, ConstMatrixView z, MatrixView y, index_t chunk,
       la::gemm(alpha, ConstMatrixView{x.data + r0 * x.ld, nr, x.cols, x.ld},
                z, beta, MatrixView{y.data + r0 * y.ld, nr, y.cols, y.ld});
     }
-    region.thread_end(tid);
-  }
+  });
 }
 
 void xty(ConstMatrixView x, ConstMatrixView y, MatrixView p, index_t chunk) {
@@ -173,18 +159,17 @@ void xty(ConstMatrixView x, ConstMatrixView y, MatrixView p, index_t chunk) {
 #pragma omp single
     partials.assign(static_cast<std::size_t>(omp_get_num_threads()),
                     std::vector<double>(psize, 0.0));
-    const int tid = omp_get_thread_num();
-    region.thread_begin(tid);
+    region.run(omp_get_thread_num(), [&] {
 #pragma omp for schedule(dynamic, 1) nowait
-    for (index_t c = 0; c < nchunks; ++c) {
-      const index_t r0 = c * chunk;
-      const index_t nr = std::min(chunk, x.rows - r0);
-      auto& buf = partials[static_cast<std::size_t>(omp_get_thread_num())];
-      la::gemm_tn(1.0, ConstMatrixView{x.data + r0 * x.ld, nr, x.cols, x.ld},
-                  ConstMatrixView{y.data + r0 * y.ld, nr, y.cols, y.ld}, 1.0,
-                  MatrixView{buf.data(), p.rows, p.cols, p.cols});
-    }
-    region.thread_end(tid);
+      for (index_t c = 0; c < nchunks; ++c) {
+        const index_t r0 = c * chunk;
+        const index_t nr = std::min(chunk, x.rows - r0);
+        auto& buf = partials[static_cast<std::size_t>(omp_get_thread_num())];
+        la::gemm_tn(1.0, ConstMatrixView{x.data + r0 * x.ld, nr, x.cols, x.ld},
+                    ConstMatrixView{y.data + r0 * y.ld, nr, y.cols, y.ld}, 1.0,
+                    MatrixView{buf.data(), p.rows, p.cols, p.cols});
+      }
+    });
   }
   for (index_t i = 0; i < p.rows; ++i) {
     for (index_t j = 0; j < p.cols; ++j) p.at(i, j) = 0.0;
@@ -202,9 +187,7 @@ void axpy(double alpha, ConstMatrixView x, MatrixView y, index_t chunk) {
   obs::RegionTimer region("bsp", graph::KernelKind::kAxpy,
                           omp_get_max_threads());
 #pragma omp parallel
-  {
-    const int tid = omp_get_thread_num();
-    region.thread_begin(tid);
+  region.run(omp_get_thread_num(), [&] {
 #pragma omp for schedule(dynamic, 1) nowait
     for (index_t c = 0; c < nchunks; ++c) {
       const index_t r0 = c * chunk;
@@ -212,8 +195,7 @@ void axpy(double alpha, ConstMatrixView x, MatrixView y, index_t chunk) {
       la::axpy(alpha, ConstMatrixView{x.data + r0 * x.ld, nr, x.cols, x.ld},
                MatrixView{y.data + r0 * y.ld, nr, y.cols, y.ld});
     }
-    region.thread_end(tid);
-  }
+  });
 }
 
 void scal(double alpha, MatrixView x, index_t chunk) {
@@ -221,17 +203,14 @@ void scal(double alpha, MatrixView x, index_t chunk) {
   obs::RegionTimer region("bsp", graph::KernelKind::kScale,
                           omp_get_max_threads());
 #pragma omp parallel
-  {
-    const int tid = omp_get_thread_num();
-    region.thread_begin(tid);
+  region.run(omp_get_thread_num(), [&] {
 #pragma omp for schedule(dynamic, 1) nowait
     for (index_t c = 0; c < nchunks; ++c) {
       const index_t r0 = c * chunk;
       const index_t nr = std::min(chunk, x.rows - r0);
       la::scal(alpha, MatrixView{x.data + r0 * x.ld, nr, x.cols, x.ld});
     }
-    region.thread_end(tid);
-  }
+  });
 }
 
 double dot(ConstMatrixView x, ConstMatrixView y, index_t chunk) {

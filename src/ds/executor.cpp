@@ -10,7 +10,6 @@
 #include "support/error.hpp"
 #include "support/escape.hpp"
 #include "support/fault.hpp"
-#include "support/timer.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -51,26 +50,12 @@ obs::Counter& poisoned_counter() {
 }
 
 /// Runs one task; any exception escaping the body is wrapped in a
-/// support::TaskError naming the failing task. Task events flow through
-/// obs::publish_task, which feeds the bench recorder, the Chrome trace, and
-/// the per-kernel latency histograms from one timing pass.
-void run_task(const graph::Tdg& g, graph::TaskId id,
-              perf::TraceRecorder* trace, unsigned worker) {
+/// support::TaskError naming the failing task.
+void run_task(const graph::Tdg& g, graph::TaskId id, unsigned worker) {
   const graph::Task& task = g.task(id);
-  const obs::prof::TaskMark mark("ds", task.kind);
   try {
-    if (trace != nullptr || obs::task_timing_enabled()) {
-      perf::TaskEvent ev;
-      ev.task_id = id;
-      ev.kind = task.kind;
-      ev.worker = static_cast<std::int32_t>(worker);
-      ev.start_ns = support::now_ns();
-      invoke_body(task);
-      ev.end_ns = support::now_ns();
-      obs::publish_task("ds", ev, trace);
-    } else {
-      invoke_body(task);
-    }
+    obs::run_task("ds", task.kind, id, static_cast<std::int32_t>(worker),
+                  [&] { invoke_body(task); });
   } catch (const support::TaskError&) {
     throw;
   } catch (const std::exception& e) {
@@ -80,9 +65,9 @@ void run_task(const graph::Tdg& g, graph::TaskId id,
   }
 }
 
-void execute_serial(const graph::Tdg& g, perf::TraceRecorder* trace) {
+void execute_serial(const graph::Tdg& g) {
   for (graph::TaskId id : g.depth_first_topological_order()) {
-    run_task(g, id, trace, 0);
+    run_task(g, id, 0);
   }
 }
 
@@ -92,7 +77,7 @@ struct OmpContext {
   const graph::Tdg* graph;
   std::vector<std::vector<graph::TaskId>> succ;
   std::unique_ptr<std::atomic<std::int32_t>[]> remaining;
-  perf::TraceRecorder* trace;
+  std::uint64_t job; // the master's job tag, taken by every task
   // Failure containment: the first exception is latched; a failed task does
   // NOT decrement its successors' counters, so everything downstream of the
   // failure stays unspawned (poisoned readiness), and `cancelled` makes
@@ -120,6 +105,7 @@ void spawn_task(OmpContext& ctx, graph::TaskId id) {
   spawned_counter().add(1);
 #pragma omp task firstprivate(c, id) untied
   {
+    obs::set_current_job(c->job);
     if (c->cancelled.load(std::memory_order_acquire)) {
       c->suppressed.fetch_add(1, std::memory_order_relaxed);
       poisoned_counter().add(1);
@@ -130,8 +116,7 @@ void spawn_task(OmpContext& ctx, graph::TaskId id) {
                        "\"}");
     } else {
       try {
-        run_task(*c->graph, id, c->trace,
-                 static_cast<unsigned>(omp_get_thread_num()));
+        run_task(*c->graph, id, static_cast<unsigned>(omp_get_thread_num()));
         finish_task(*c, id);
       } catch (...) {
         bool latched = false;
@@ -149,11 +134,11 @@ void spawn_task(OmpContext& ctx, graph::TaskId id) {
   }
 }
 
-void execute_omp(const graph::Tdg& g, perf::TraceRecorder* trace) {
+void execute_omp(const graph::Tdg& g) {
   OmpContext ctx;
   ctx.graph = &g;
   ctx.succ = unique_successors(g);
-  ctx.trace = trace;
+  ctx.job = obs::current_job();
   const std::size_t n = g.task_count();
   ctx.remaining = std::make_unique<std::atomic<std::int32_t>[]>(n);
   const std::vector<std::int32_t> indeg = g.indegrees();
@@ -186,13 +171,13 @@ void execute(const graph::Tdg& g, const ExecOptions& options) {
   STS_EXPECTS(g.is_acyclic());
   switch (options.mode) {
     case ExecMode::kSerial:
-      execute_serial(g, options.trace);
+      execute_serial(g);
       return;
     case ExecMode::kOmpTasks:
 #ifdef _OPENMP
-      execute_omp(g, options.trace);
+      execute_omp(g);
 #else
-      execute_serial(g, options.trace);
+      execute_serial(g);
 #endif
       return;
   }

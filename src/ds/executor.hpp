@@ -9,7 +9,6 @@
 #pragma once
 
 #include "graph/tdg.hpp"
-#include "perf/trace.hpp"
 
 namespace sts::ds {
 
@@ -20,12 +19,11 @@ enum class ExecMode {
 
 struct ExecOptions {
   ExecMode mode = ExecMode::kOmpTasks;
-  /// Optional per-task event recording (Figs. 10/13). Must be sized for
-  /// omp_get_max_threads() lanes in kOmpTasks mode.
-  perf::TraceRecorder* trace = nullptr;
 };
 
 /// Executes every task in `g` respecting dependencies. Blocks until done.
+/// Every task runs through obs::run_task under the calling thread's job
+/// tag, whichever OpenMP thread runs it.
 ///
 /// Failure contract: an exception escaping a task body is wrapped in a
 /// support::TaskError naming the task (e.g. "spmv[3,2]"). In kOmpTasks mode

@@ -131,7 +131,8 @@ Scheduler::Config Scheduler::Config::for_partition(
   return c;
 }
 
-Scheduler::Scheduler(Config config) : config_(std::move(config)) {
+Scheduler::Scheduler(Config config)
+    : config_(std::move(config)), job_(obs::current_job()) {
   // Pre-register the steal counters so a metrics dump lists them even for a
   // run that never stole (a zero row beats an absent one when diffing).
   steal_counter();
@@ -511,18 +512,13 @@ void Scheduler::run_task(QueuedTask& task) {
     }
   }
   task.fn = Task{};
-  if (timed) {
-    const std::int64_t t1 = support::now_ns();
-    task_run_histogram().observe(t1 - t0);
-    // The scheduler-level span encloses whatever kernel span the task body
-    // published, giving the trace genuine nesting on each worker track.
-    obs::span("task", "flux", t0, t1);
-  }
+  if (timed) task_run_histogram().observe(support::now_ns() - t0);
 }
 
 void Scheduler::worker_loop(unsigned index) {
   tls_scheduler = this;
   tls_worker_index = static_cast<int>(index);
+  obs::set_current_job(job_);
   pin_self(index);
   QueuedTask task;
   while (true) {

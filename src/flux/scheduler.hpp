@@ -68,7 +68,7 @@ public:
     /// derived from those CPUs' NUMA nodes — the pool runs on exactly this
     /// slice of the machine instead of assuming workers 0..N-1 own it. Set
     /// by the stsd dispatcher, one partition per job slot (DESIGN.md §15).
-    std::vector<int> cpus;
+    std::vector<int> cpus = {};
     /// Worker-slot headroom for elastic growth: placement tables and the
     /// worker array are pre-sized for this many workers so expand() can add
     /// workers without reallocating anything a running worker reads.
@@ -255,6 +255,9 @@ private:
   void drain() noexcept;
 
   Config config_;
+  /// Job tag of the thread that built the pool; every worker, including
+  /// those expand() adds, runs under it (obs::current_job()).
+  std::uint64_t job_;
   unsigned max_threads_ = 0; // worker-slot capacity (>= initial threads)
   /// Published worker count. Rows [0, active_) of every table below are
   /// immutable once published; expand() writes new rows first, then does a

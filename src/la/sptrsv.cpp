@@ -217,7 +217,8 @@ namespace {
 /// per block row in a topological order (ascending for forward, descending
 /// for backward), each waiting on its input future and on the plan's DAG
 /// edges, and return the per-row futures without waiting. The per-row task
-/// does the whole gather + in-block solve. That is fine enough that
+/// does the whole gather + in-block solve, and publishes one kSpTRSV task
+/// event with the block row as its id. That is fine enough that
 /// independent waves fill the machine, but not coarse enough to amortize
 /// task overhead: traced solvebench cg-ic0 runs on 4 cores read
 /// la.sptrsv_dag_speedup (sequential time over DAG time, summed over a
@@ -245,8 +246,14 @@ RowFutures run_dag(const sparse::Csb& lower, flux::Scheduler& sched,
                          ? dmap->owner(br)
                          : -1;
     done[static_cast<std::size_t>(br)] =
-        flux::dataflow_hint(sched, hint, flux::unwrapping(make_body(br)),
-                            std::move(wait))
+        flux::dataflow_hint(
+            sched, hint,
+            flux::unwrapping([s = &sched, br, body = make_body(br)] {
+              obs::run_task("flux", graph::KernelKind::kSpTRSV,
+                            static_cast<std::int32_t>(br),
+                            s->current_worker(), body);
+            }),
+            std::move(wait))
             .share();
   }
   return done;
@@ -277,7 +284,6 @@ RowFutures sptrsv_forward(const sparse::Csb& lower, const SptrsvPlan& plan,
       [p](index_t bi) -> const std::vector<index_t>& { return p->deps(bi); },
       [l, p, b, x, hook](index_t bi) {
         return [l, p, b, x, hook, bi] {
-          const obs::prof::TaskMark mark("flux", graph::KernelKind::kSpTRSV);
           copy_block(*l, bi, b, x);
           for (const index_t bj : p->deps(bi)) {
             block_gather_sub(*l, bi, bj, x);
@@ -304,7 +310,6 @@ RowFutures sptrsv_backward(const sparse::Csb& lower, const SptrsvPlan& plan,
       },
       [l, p, b, x, hook](index_t bj) {
         return [l, p, b, x, hook, bj] {
-          const obs::prof::TaskMark mark("flux", graph::KernelKind::kSpTRSV);
           copy_block(*l, bj, b, x);
           for (const index_t bi : p->transposed_deps(bj)) {
             block_gather_sub_t(*l, bi, bj, x);

@@ -25,9 +25,7 @@ constexpr int kMetricsBit = 2;
 
 // -1 = not yet initialized from the environment; >= 0 = active bit set.
 std::atomic<int> g_flags{-1};
-// Fast gate for the per-job capture window (mirrors JobTraceRing's active
-// job) so span()/instant() stay one relaxed load when everything is off.
-std::atomic<bool> g_job_capture{false};
+thread_local std::uint64_t t_job = 0; // the calling thread's job tag
 std::mutex g_config_mutex;
 std::string g_trace_path;   // guarded by g_config_mutex
 std::string g_metrics_dest; // guarded by g_config_mutex
@@ -106,6 +104,13 @@ bool metrics_enabled() noexcept { return (flags() & kMetricsBit) != 0; }
 bool task_timing_enabled() noexcept {
   return flags() != 0 || job_trace_active();
 }
+
+namespace {
+
+/// True when the calling thread's events go to the log.
+bool recording() noexcept { return tracing_enabled() || job_trace_active(); }
+
+} // namespace
 
 void enable_tracing(const std::string& path) {
   flags(); // force init so the atexit hook and fault observer are in place
@@ -195,6 +200,10 @@ void flush() noexcept {
 
 void write_trace_json(std::ostream& os) { TraceSink::instance().write_json(os); }
 
+std::vector<perf::TaskEvent> task_events() {
+  return TraceSink::instance().task_events();
+}
+
 void write_metrics_csv(std::ostream& os) {
   Registry::instance().write_csv(os);
 }
@@ -211,171 +220,133 @@ Histogram& histogram(const std::string& name) {
   return Registry::instance().histogram(name);
 }
 
+std::uint64_t current_job() noexcept { return t_job; }
+
+void set_current_job(std::uint64_t job) noexcept { t_job = job; }
+
 void set_job_trace_capacity(std::size_t bytes) noexcept {
   try {
-    JobTraceRing::instance().set_capacity(bytes);
+    TraceSink::instance().set_job_capacity(bytes);
   } catch (...) {
   }
 }
 
 void begin_job_trace(std::uint64_t job,
                      const std::string& trace_id) noexcept {
-  if (job == 0) return;
+  TraceSink& sink = TraceSink::instance();
+  if (job == 0 || sink.job_capacity() == 0) return;
   try {
-    JobTraceRing& ring = JobTraceRing::instance();
-    if (ring.capacity() == 0) return;
-    ring.begin_job(job, trace_id);
-    g_job_capture.store(true, std::memory_order_release);
+    sink.open_job(job, trace_id);
+    t_job = job;
   } catch (...) {
   }
 }
 
 void end_job_trace() noexcept {
-  g_job_capture.store(false, std::memory_order_release);
+  if (t_job == 0) return;
   try {
-    JobTraceRing::instance().end_job();
+    TraceSink::instance().close_job(t_job);
   } catch (...) {
   }
+  t_job = 0;
 }
 
 bool job_trace_active() noexcept {
-  return g_job_capture.load(std::memory_order_relaxed);
+  return t_job != 0 && TraceSink::instance().job_capacity() > 0;
 }
 
 bool write_job_trace_json(std::uint64_t job, std::ostream& os) {
-  return JobTraceRing::instance().write_job_json(job, os);
+  return TraceSink::instance().write_job_json(job, os);
 }
 
 void clear_job_traces() noexcept {
   try {
-    JobTraceRing::instance().clear();
+    TraceSink::instance().clear_jobs();
   } catch (...) {
   }
 }
 
-namespace {
-
-/// Routes one finished event to the enabled trace consumers: the process
-/// sink when STS_TRACE is on, the per-job ring while a capture window is
-/// open. Callers check at least one is active first.
-void emit_trace_event(const TraceEvent& event, bool to_sink,
-                      bool to_ring) {
-  if (to_sink) TraceSink::instance().push(event);
-  if (to_ring) JobTraceRing::instance().push(event);
-}
-
-} // namespace
-
-void publish_task(const char* runtime, const perf::TaskEvent& event,
-                  perf::TraceRecorder* recorder) noexcept {
+void publish_task(const char* runtime, const perf::TaskEvent& event) noexcept {
+  const int f = flags();
+  const bool record = (f & kTraceBit) != 0 || job_trace_active();
+  if (!record && (f & kMetricsBit) == 0) return;
   try {
-    if (recorder != nullptr) {
-      // A thread outside the pool (worker < 0, e.g. the host helping inside
-      // future::get) must not append to a worker's unlocked lane: the
-      // recorder sends out-of-range ids to its overflow lane.
-      recorder->record(event.worker < 0
-                           ? std::numeric_limits<unsigned>::max()
-                           : static_cast<unsigned>(event.worker),
-                       event);
-    }
-    const int f = flags();
-    const bool capture = job_trace_active();
-    if (f == 0 && !capture) return;
-    const char* kernel = graph::to_string(event.kind);
-    const bool to_sink = (f & kTraceBit) != 0;
-    if (to_sink || capture) {
-      TraceSink::instance().name_current_lane(
-          std::string(runtime) +
-          (event.worker < 0 ? "/host" : "/w" + std::to_string(event.worker)));
-      emit_trace_event(
-          TraceEvent{kernel, kernel, 'X', event.start_ns,
-                     event.end_ns - event.start_ns,
-                     "{\"task_id\":" + std::to_string(event.task_id) + "}"},
-          to_sink, capture);
+    if (record) {
+      Event e;
+      e.ts_ns = event.start_ns;
+      e.dur_ns = event.end_ns - event.start_ns;
+      e.job = t_job;
+      e.runtime = runtime;
+      e.task_id = event.task_id;
+      e.worker = event.worker;
+      e.kind = event.kind;
+      TraceSink::instance().push(std::move(e));
     }
     if ((f & kMetricsBit) != 0) {
-      histogram(std::string(runtime) + ".task_ns." + kernel)
+      histogram(std::string(runtime) + ".task_ns." +
+                graph::to_string(event.kind))
           .observe(event.end_ns - event.start_ns);
     }
   } catch (...) {
   }
 }
 
+namespace {
+
+void push_text(char ph, const std::string& name, const std::string& cat,
+               std::int64_t ts_ns, std::int64_t dur_ns,
+               const std::string& args) {
+  Event e;
+  e.ts_ns = ts_ns;
+  e.dur_ns = dur_ns;
+  e.job = t_job;
+  e.text = std::make_unique<const EventText>(EventText{name, cat, args});
+  e.ph = ph;
+  TraceSink::instance().push(std::move(e));
+}
+
+} // namespace
+
 void span(const std::string& name, const std::string& cat,
           std::int64_t start_ns, std::int64_t end_ns,
           const std::string& args) noexcept {
-  const bool to_sink = tracing_enabled();
-  const bool capture = job_trace_active();
-  if (!to_sink && !capture) return;
+  if (!recording()) return;
   try {
-    emit_trace_event(
-        TraceEvent{name, cat, 'X', start_ns, end_ns - start_ns, args},
-        to_sink, capture);
+    push_text('X', name, cat, start_ns, end_ns - start_ns, args);
   } catch (...) {
   }
 }
 
 void instant(const std::string& name, const std::string& cat,
              const std::string& args) noexcept {
-  const bool to_sink = tracing_enabled();
-  const bool capture = job_trace_active();
-  if (!to_sink && !capture) return;
+  if (!recording()) return;
   try {
-    emit_trace_event(TraceEvent{name, cat, 'i', support::now_ns(), 0, args},
-                     to_sink, capture);
+    push_text('i', name, cat, support::now_ns(), 0, args);
   } catch (...) {
   }
 }
 
 RegionTimer::RegionTimer(const char* runtime, graph::KernelKind kind,
                          int threads)
-    : runtime_(runtime), kind_(kind), enabled_(task_timing_enabled()) {
-  if (!enabled_) return;
-  const std::size_t n = threads > 0 ? static_cast<std::size_t>(threads) : 1;
-  begin_ns_.assign(n, 0);
-  end_ns_.assign(n, 0);
-}
-
-void RegionTimer::thread_begin(int tid) noexcept {
-  prof::region_begin(runtime_, kind_);
-  if (!enabled_ || tid < 0 ||
-      static_cast<std::size_t>(tid) >= begin_ns_.size()) {
-    return;
+    : runtime_(runtime), kind_(kind), job_(t_job) {
+  if (metrics_enabled()) {
+    busy_ns_.assign(threads > 0 ? static_cast<std::size_t>(threads) : 1, -1);
   }
-  begin_ns_[static_cast<std::size_t>(tid)] = support::now_ns();
-}
-
-void RegionTimer::thread_end(int tid) noexcept {
-  prof::region_end();
-  if (!enabled_ || tid < 0 ||
-      static_cast<std::size_t>(tid) >= end_ns_.size()) {
-    return;
-  }
-  const std::size_t i = static_cast<std::size_t>(tid);
-  if (begin_ns_[i] == 0) return;
-  end_ns_[i] = support::now_ns();
-  perf::TaskEvent ev;
-  ev.kind = kind_;
-  ev.worker = tid;
-  ev.start_ns = begin_ns_[i];
-  ev.end_ns = end_ns_[i];
-  publish_task(runtime_, ev, nullptr);
 }
 
 RegionTimer::~RegionTimer() {
-  if (!enabled_) return;
+  if (busy_ns_.empty()) return;
   try {
     std::int64_t lo = std::numeric_limits<std::int64_t>::max();
     std::int64_t hi = 0;
     int participants = 0;
-    for (std::size_t i = 0; i < begin_ns_.size(); ++i) {
-      if (end_ns_[i] == 0) continue;
-      const std::int64_t busy = end_ns_[i] - begin_ns_[i];
+    for (const std::int64_t busy : busy_ns_) {
+      if (busy < 0) continue;
       lo = std::min(lo, busy);
       hi = std::max(hi, busy);
       ++participants;
     }
-    if (participants > 0 && metrics_enabled()) {
+    if (participants > 0) {
       histogram(std::string(runtime_) + ".imbalance_ns." +
                 graph::to_string(kind_))
           .observe(participants > 1 ? hi - lo : 0);
@@ -405,7 +376,7 @@ IterScope::~IterScope() {
     const std::int64_t end = support::now_ns();
     const prof::HwCounts hw = prof::hw_delta(prof::hw_read(), hw_begin_);
     const int f = flags();
-    if ((f & kTraceBit) != 0 || job_trace_active()) {
+    if (recording()) {
       std::string args;
       auto field = [&args](const char* name, const std::string& value) {
         args += args.empty() ? "{\"" : ",\"";

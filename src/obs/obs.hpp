@@ -1,5 +1,5 @@
-// Unified telemetry layer: activation, the shared task-event stream, and
-// the instrumentation primitives used by the runtimes and solvers.
+// Unified telemetry layer: activation, the task-event log, and the
+// instrumentation primitives used by the runtimes and solvers.
 //
 // Activation is environment- or CLI-driven:
 //
@@ -9,15 +9,21 @@
 //   stsolve --trace=f --metrics=f --prof=f   same, per invocation
 //
 // and near-zero-cost when off: every instrumentation site gates on one
-// relaxed atomic load before touching a clock or allocating. Enabling
-// tracing buffers events in memory (~150 bytes/event) until flush().
+// relaxed atomic load (plus a thread-local job tag) before touching a clock
+// or allocating.
 //
-// All task execution — flux tasks, ds OpenMP tasks, rgt region tasks, and
-// BSP parallel-for regions — funnels through publish_task(), which fans a
-// single perf::TaskEvent out to (a) the caller's perf::TraceRecorder (the
-// fig10/fig13 flow-graph path), (b) the Chrome trace sink, and (c) the
-// per-runtime/per-kernel latency histograms. The TraceRecorder is thus one
-// consumer of the same stream the always-on telemetry uses.
+// Every task event, span and instant is recorded once, in the task-event
+// log (obs/trace_sink.hpp), and tagged with the job of the thread that
+// emitted it. The process trace, per-job traces and flow graphs
+// (task_events()) all read that one log. A thread's events are recorded
+// while process tracing is on, or while the thread holds a job tag and job
+// capture is on.
+//
+// All task execution — flux tasks, ds OpenMP tasks, rgt region tasks, the
+// dataflow SpTRSV rows and BSP parallel-for regions — runs through
+// run_task(), which marks the profiler slot, times the body and publishes
+// one event to the log and to the per-runtime/per-kernel latency
+// histograms.
 #pragma once
 
 #include <cstddef>
@@ -30,6 +36,7 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "perf/trace.hpp"
+#include "support/timer.hpp"
 
 namespace sts::obs {
 
@@ -40,9 +47,10 @@ namespace sts::obs {
 /// True when either sink wants per-task timestamps (gate for clock reads).
 [[nodiscard]] bool task_timing_enabled() noexcept;
 
-/// Starts buffering trace events; `path` is where flush() writes the JSON
-/// (empty = buffer only, for tests that export via write_trace_json()).
-/// Clears any previously buffered events.
+/// Starts recording every thread's events; `path` is where flush() writes
+/// the JSON (empty = buffer only, for tests that export via
+/// write_trace_json() or read task_events()). Clears the event log,
+/// per-job slices included.
 void enable_tracing(const std::string& path);
 
 /// Starts metrics collection; `dest` is where flush() dumps the registry:
@@ -67,6 +75,9 @@ void flush() noexcept;
 
 /// Export without disabling (test/inspection path).
 void write_trace_json(std::ostream& os);
+/// The logged task events, sorted by start and rebased to 0: the input of
+/// perf::build_flow_graph (paper Figs. 10/13).
+[[nodiscard]] std::vector<perf::TaskEvent> task_events();
 void write_metrics_csv(std::ostream& os);
 
 // -- Metrics handles -------------------------------------------------------
@@ -78,75 +89,97 @@ Counter& counter(const std::string& name);
 Gauge& gauge(const std::string& name);
 Histogram& histogram(const std::string& name);
 
-// -- Per-job trace capture -------------------------------------------------
-// stsd's live-trace path: while a job trace is open, every span/instant/
-// publish_task event is also buffered in a byte-bounded ring tagged with
-// the job id (obs::JobTraceRing), independent of STS_TRACE. The service
-// opens the window around each job's execution on its single executor, so
-// worker-thread events inside the window belong to that job.
+// -- Job tags and per-job traces -------------------------------------------
+// stsd's live-trace path. Each thread carries a job tag (0 = none). A
+// service slot tags itself around a job; a flux::Scheduler hands the tag of
+// the thread that built it to its workers, and the OpenMP paths
+// (RegionTimer, ds::execute) hand the master's tag to the team. While job
+// capture is on, every event a tagged thread emits is logged under its
+// job, whatever else runs in other slots.
 
-/// Byte budget for the ring; 0 disables capture (then begin_job_trace is a
-/// no-op window).
+[[nodiscard]] std::uint64_t current_job() noexcept;
+void set_current_job(std::uint64_t job) noexcept;
+
+/// Byte budget for job-tagged events (oldest finished job evicted first);
+/// 0 disables capture, and begin_job_trace then tags nothing.
 void set_job_trace_capacity(std::size_t bytes) noexcept;
 
-/// Opens the capture window for `job` (> 0). `trace_id` is the
-/// client-supplied correlation id recorded in the exported JSON.
+/// Records `job` (> 0) and tags the calling thread with it. `trace_id` is
+/// the client-supplied correlation id recorded in the exported JSON.
 void begin_job_trace(std::uint64_t job, const std::string& trace_id) noexcept;
 
-/// Closes the capture window.
+/// Marks the calling thread's job finished and clears its tag.
 void end_job_trace() noexcept;
 
-/// True while a capture window is open (gate for clock reads, like
-/// task_timing_enabled()).
+/// True while the calling thread holds a job tag and capture is on (gate
+/// for clock reads, like task_timing_enabled()).
 [[nodiscard]] bool job_trace_active() noexcept;
 
-/// Chrome trace JSON for one captured job; false when nothing is buffered
-/// for it (never captured, or evicted by the byte budget).
+/// Chrome trace JSON for one job; false when nothing is logged for it
+/// (never captured, or evicted by the byte budget).
 bool write_job_trace_json(std::uint64_t job, std::ostream& os);
 
-/// Drops every buffered job trace. A fresh stsd service calls this so a
-/// previous instance's slices (whose job-id space it is about to reuse)
-/// cannot bleed into its own exports.
+/// Drops every job's events and records. A fresh stsd service calls this
+/// so a previous instance's slices (whose job-id space it is about to
+/// reuse) cannot bleed into its own exports.
 void clear_job_traces() noexcept;
 
 // -- Event stream ----------------------------------------------------------
 
-/// Publishes one executed task: records into `recorder` when non-null
-/// (regardless of activation), and — when enabled — emits a Chrome span on
-/// the calling thread's track (category = kernel kind) and feeds the
-/// `<runtime>.task_ns.<kernel>` histogram. Never throws.
-void publish_task(const char* runtime, const perf::TaskEvent& event,
-                  perf::TraceRecorder* recorder) noexcept;
+/// Publishes one executed task: logs it on the calling thread's lane when
+/// its events are recorded, and feeds `<runtime>.task_ns.<kernel>` when
+/// metrics are on. `runtime` must be a literal. Never throws.
+void publish_task(const char* runtime, const perf::TaskEvent& event) noexcept;
 
-/// Emits a span on the calling thread's track when tracing. `args` must be
-/// a pre-rendered JSON object ("{...}") or empty. Never throws.
+/// Runs one task body: marks the profiler slot and, when task timing is on,
+/// times the body and publishes its event (worker -1: a thread outside the
+/// pool, such as the host helping inside future::get). Returns the body's
+/// duration in ns, 0 when untimed.
+template <typename Fn>
+std::int64_t run_task(const char* runtime, graph::KernelKind kind,
+                      std::int32_t task_id, std::int32_t worker, Fn&& body) {
+  const prof::TaskMark mark(runtime, kind);
+  if (!task_timing_enabled()) {
+    body();
+    return 0;
+  }
+  const std::int64_t start = support::now_ns();
+  body();
+  const std::int64_t end = support::now_ns();
+  publish_task(runtime, {task_id, kind, worker, start, end});
+  return end - start;
+}
+
+/// Emits a span on the calling thread's track when its events are recorded.
+/// `args` must be a pre-rendered JSON object ("{...}") or empty. Never
+/// throws.
 void span(const std::string& name, const std::string& cat,
           std::int64_t start_ns, std::int64_t end_ns,
           const std::string& args = {}) noexcept;
 
 /// Emits an instant event (fault fired, task cancelled, watchdog tripped)
-/// on the calling thread's track when tracing. Never throws.
+/// on the calling thread's track when its events are recorded. Never
+/// throws.
 void instant(const std::string& name, const std::string& cat,
              const std::string& args = {}) noexcept;
 
 // -- Structured helpers ----------------------------------------------------
 
-/// Times the per-thread portions of one BSP parallel region and publishes
-/// (a) one span per participating thread via publish_task and (b) the
-/// barrier imbalance max(thread time) - min(thread time) into
-/// `<runtime>.imbalance_ns.<kernel>`. Intended use:
+/// Times the per-thread portions of one BSP parallel region: each thread
+/// runs its share through run_task (one event per participating thread,
+/// tagged with the job of the thread that built the timer), and the
+/// destructor feeds the barrier imbalance max(thread time) - min(thread
+/// time) into `<runtime>.imbalance_ns.<kernel>`. Intended use:
 ///
 ///   RegionTimer region("bsp", kind, omp_get_max_threads());
 ///   #pragma omp parallel
-///   {
-///     region.thread_begin(omp_get_thread_num());
-///     #pragma omp for nowait
+///   region.run(omp_get_thread_num(), [&] {
+///   #pragma omp for nowait
 ///     ...
-///     region.thread_end(omp_get_thread_num());
-///   }  // implicit barrier; destructor publishes the imbalance
+///   });  // implicit barrier; destructor publishes the imbalance
 ///
-/// When telemetry is off the constructor is one atomic load and the
-/// begin/end calls are a branch each.
+/// When telemetry is off the constructor is an atomic and a thread-local
+/// load, and run() is a branch around the body.
 class RegionTimer {
 public:
   RegionTimer(const char* runtime, graph::KernelKind kind, int threads);
@@ -154,16 +187,20 @@ public:
   RegionTimer(const RegionTimer&) = delete;
   RegionTimer& operator=(const RegionTimer&) = delete;
 
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-  void thread_begin(int tid) noexcept;
-  void thread_end(int tid) noexcept;
+  template <typename Fn>
+  void run(int tid, Fn&& body) {
+    set_current_job(job_);
+    const std::int64_t ns = run_task(runtime_, kind_, -1, tid, body);
+    if (tid >= 0 && static_cast<std::size_t>(tid) < busy_ns_.size()) {
+      busy_ns_[static_cast<std::size_t>(tid)] = ns;
+    }
+  }
 
 private:
   const char* runtime_;
   graph::KernelKind kind_;
-  bool enabled_;
-  std::vector<std::int64_t> begin_ns_;
-  std::vector<std::int64_t> end_ns_;
+  std::uint64_t job_;
+  std::vector<std::int64_t> busy_ns_; // -1 = did not run; empty = no metrics
 };
 
 /// Scopes one solver iteration: emits a `iter[n]` span (category =

@@ -1,58 +1,12 @@
 #include "perf/trace.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <ostream>
 
 #include "support/error.hpp"
 #include "support/escape.hpp"
 
 namespace sts::perf {
-
-TraceRecorder::TraceRecorder(unsigned workers) : lanes_(std::max(1u, workers)) {}
-
-void TraceRecorder::record(unsigned worker, TaskEvent event) {
-  if (worker < lanes_.size()) {
-    lanes_[worker].push_back(event);
-    return;
-  }
-  const std::lock_guard<std::mutex> lock(overflow_mutex_);
-  overflow_.push_back(event);
-}
-
-std::size_t TraceRecorder::overflow_count() const {
-  const std::lock_guard<std::mutex> lock(overflow_mutex_);
-  return overflow_.size();
-}
-
-std::vector<TaskEvent> TraceRecorder::events() const {
-  std::vector<TaskEvent> all;
-  std::size_t total = 0;
-  for (const auto& lane : lanes_) total += lane.size();
-  all.reserve(total);
-  for (const auto& lane : lanes_) all.insert(all.end(), lane.begin(), lane.end());
-  {
-    const std::lock_guard<std::mutex> lock(overflow_mutex_);
-    all.insert(all.end(), overflow_.begin(), overflow_.end());
-  }
-  if (all.empty()) return all;
-  std::int64_t t0 = std::numeric_limits<std::int64_t>::max();
-  for (const TaskEvent& e : all) t0 = std::min(t0, e.start_ns);
-  for (TaskEvent& e : all) {
-    e.start_ns -= t0;
-    e.end_ns -= t0;
-  }
-  std::sort(all.begin(), all.end(), [](const TaskEvent& a, const TaskEvent& b) {
-    return a.start_ns < b.start_ns;
-  });
-  return all;
-}
-
-void TraceRecorder::clear() {
-  for (auto& lane : lanes_) lane.clear();
-  const std::lock_guard<std::mutex> lock(overflow_mutex_);
-  overflow_.clear();
-}
 
 FlowGraph build_flow_graph(const std::vector<TaskEvent>& events, int buckets) {
   STS_EXPECTS(buckets > 0);

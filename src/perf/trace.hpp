@@ -1,15 +1,15 @@
-// Execution trace recording and flow-graph export (paper Figs. 10 & 13).
+// Flow-graph export (paper Figs. 10 & 13).
 //
-// Executors (real and simulated) record one TaskEvent per task: which
-// worker ran it, when it started/finished, and its kernel kind. The flow
-// graph the paper plots is the per-kernel count of running tasks over time;
-// render_flow_graph() produces that series (CSV for plotting plus an ASCII
-// rendering for bench stdout).
+// A TaskEvent is one executed task: which worker ran it, when it started
+// and finished, and its kernel kind. Real runs read them from the
+// task-event log (obs::task_events()), the simulator produces its own. The
+// flow graph the paper plots is the per-kernel count of running tasks over
+// time; render_flow_graph() produces that series (CSV for plotting plus an
+// ASCII rendering for bench stdout).
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -23,38 +23,6 @@ struct TaskEvent {
   std::int32_t worker = -1;
   std::int64_t start_ns = 0;
   std::int64_t end_ns = 0;
-};
-
-/// Lock-free per-worker event collection: each worker appends to its own
-/// lane; events() merges and time-sorts.
-class TraceRecorder {
-public:
-  explicit TraceRecorder(unsigned workers);
-
-  /// Called by worker `w` (0-based). Not synchronized across workers; each
-  /// worker must only use its own lane. Out-of-range worker ids (events
-  /// reported from an external submission thread, or from a helper thread
-  /// the recorder was not sized for) go to a shared mutex-guarded overflow
-  /// lane instead of being dropped.
-  void record(unsigned worker, TaskEvent event);
-
-  /// Merged events (worker lanes plus overflow) sorted by start time,
-  /// rebased so the earliest start is 0.
-  [[nodiscard]] std::vector<TaskEvent> events() const;
-
-  [[nodiscard]] unsigned workers() const noexcept {
-    return static_cast<unsigned>(lanes_.size());
-  }
-
-  /// Events routed to the overflow lane so far.
-  [[nodiscard]] std::size_t overflow_count() const;
-
-  void clear();
-
-private:
-  std::vector<std::vector<TaskEvent>> lanes_;
-  mutable std::mutex overflow_mutex_;
-  std::vector<TaskEvent> overflow_;
 };
 
 /// One row of a flow graph: time bucket -> number of tasks of each kernel

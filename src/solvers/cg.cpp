@@ -284,7 +284,6 @@ CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
   std::unique_ptr<flux::Scheduler> owned_sched;
   flux::Scheduler& sched = acquire_flux_pool(options, owned_sched);
   flux::QuiesceOnExit quiesce(sched);
-  perf::TraceRecorder* trace = options.trace;
 
   using Fut = flux::shared_future<void>;
   const sparse::Csb::DomainMap dmap =
@@ -296,7 +295,7 @@ CgResult run_flux(const sparse::Csb& csb, const CgOptions& cg_options,
         options.numa_domains > 1 && bi >= 0 ? dmap.owner(bi) : -1;
     return flux::dataflow_hint(
                sched, hint,
-               flux::unwrapping(flux_task(sched, trace, kind,
+               flux::unwrapping(flux_task(sched, kind,
                                           static_cast<std::int32_t>(bi),
                                           std::move(fn))),
                std::forward<decltype(deps)>(deps)...)

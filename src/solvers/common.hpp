@@ -14,7 +14,6 @@
 #include <string>
 
 #include "la/dense.hpp"
-#include "perf/trace.hpp"
 #include "sparse/csb.hpp"
 #include "sparse/csr.hpp"
 #include "support/cancel.hpp"
@@ -68,8 +67,6 @@ struct SolverOptions {
   /// NUMA domains exposed to the flux scheduler (>=2 enables the
   /// NUMA-aware scheduling hints the paper discusses for HPX on EPYC).
   unsigned numa_domains = 1;
-  /// Optional execution trace for flow graphs.
-  perf::TraceRecorder* trace = nullptr;
   std::uint64_t seed = 42;
   /// Cooperative cancellation: polled at every iteration boundary (all
   /// runtimes are quiescent there); a request surfaces as support::Cancelled

@@ -261,7 +261,6 @@ void PieceLowering::small_task(KernelKind kind, std::function<void()> body,
 
 FluxLowering::FluxLowering(const sparse::Csb& a, const SolverOptions& options)
     : PieceLowering(a, options), numa_domains_(options.numa_domains),
-      trace_(options.trace),
       dmap_(a.partition_block_rows(options.numa_domains)),
       sched_(&acquire_flux_pool(options, owned_)), quiesce_(*sched_) {}
 
@@ -298,8 +297,8 @@ void FluxLowering::issue(PieceTask task) {
       task.home >= 0 && numa_domains_ > 1 ? dmap_.owner(task.home) : -1;
   const Fut done =
       flux::dataflow_hint(*sched_, domain,
-                          flux::unwrapping(flux_task(*sched_, trace_,
-                                                     task.kind, task.id,
+                          flux::unwrapping(flux_task(*sched_, task.kind,
+                                                     task.id,
                                                      std::move(task.body))),
                           std::move(deps))
           .share();
@@ -332,7 +331,7 @@ void FluxLowering::finish() {
 
 RgtLowering::RgtLowering(const sparse::Csb& a, const SolverOptions& options)
     : PieceLowering(a, options),
-      dependency_based_(options.dependency_based_spmm), trace_(options.trace),
+      dependency_based_(options.dependency_based_spmm),
       rt_({.cpu_workers = options.threads,
            .util_threads = 1,
            .verify_index_launches = false,
@@ -350,21 +349,8 @@ void RgtLowering::on_register(DataId /*id*/, std::string name,
 template <typename Fn>
 rgt::TaskBody RgtLowering::traced(KernelKind kind, std::int32_t id,
                                   Fn fn) const {
-  perf::TraceRecorder* trace = trace_;
-  return [trace, kind, id, fn = std::move(fn)](rgt::TaskContext& ctx) {
-    const obs::prof::TaskMark mark("rgt", kind);
-    if (trace == nullptr && !obs::task_timing_enabled()) {
-      fn(ctx);
-      return;
-    }
-    perf::TaskEvent ev;
-    ev.kind = kind;
-    ev.task_id = id;
-    ev.worker = ctx.worker();
-    ev.start_ns = support::now_ns();
-    fn(ctx);
-    ev.end_ns = support::now_ns();
-    obs::publish_task("rgt", ev, trace);
+  return [kind, id, fn = std::move(fn)](rgt::TaskContext& ctx) {
+    obs::run_task("rgt", kind, id, ctx.worker(), [&] { fn(ctx); });
   };
 }
 

@@ -47,27 +47,12 @@ namespace sts::solver {
 
 using ds::DataId;
 
-/// Wraps a flux task body: marks the profiler slot and, when tracing or
-/// task timing is on, publishes one task event. Events from threads outside
-/// the pool (the host helping inside future::get) carry worker -1, which
-/// the recorder routes to its overflow lane.
+/// Wraps a flux task body in obs::run_task, as the worker that runs it.
 template <typename Fn>
-auto flux_task(flux::Scheduler& sched, perf::TraceRecorder* trace,
-               graph::KernelKind kind, std::int32_t id, Fn fn) {
-  return [sched = &sched, trace, kind, id, fn = std::move(fn)]() {
-    const obs::prof::TaskMark mark("flux", kind);
-    if (trace == nullptr && !obs::task_timing_enabled()) {
-      fn();
-      return;
-    }
-    perf::TaskEvent ev;
-    ev.kind = kind;
-    ev.task_id = id;
-    ev.worker = sched->current_worker();
-    ev.start_ns = support::now_ns();
-    fn();
-    ev.end_ns = support::now_ns();
-    obs::publish_task("flux", ev, trace);
+auto flux_task(flux::Scheduler& sched, graph::KernelKind kind,
+               std::int32_t id, Fn fn) {
+  return [sched = &sched, kind, id, fn = std::move(fn)]() {
+    obs::run_task("flux", kind, id, sched->current_worker(), fn);
   };
 }
 
@@ -202,7 +187,6 @@ private:
   void wait() override;
 
   unsigned numa_domains_;
-  perf::TraceRecorder* trace_;
   sparse::Csb::DomainMap dmap_; // stripe owners, shared with place_stripes
   std::unique_ptr<flux::Scheduler> owned_; // empty when the pool is shared
   flux::Scheduler* sched_;
@@ -235,7 +219,6 @@ private:
   rgt::TaskBody traced(graph::KernelKind kind, std::int32_t id, Fn fn) const;
 
   bool dependency_based_;
-  perf::TraceRecorder* trace_;
   rgt::Runtime rt_;
   std::vector<rgt::RegionId> regions_; // indexed by DataId
 };
@@ -299,8 +282,7 @@ IterationTiming run_tasks(Version v, const char* solver,
       script.issue(prog);
       const graph::Tdg graph = prog.build();
       timing.graph_build_seconds = build_timer.seconds();
-      const ds::ExecOptions exec{.mode = ds::ExecMode::kOmpTasks,
-                                 .trace = options.trace};
+      const ds::ExecOptions exec{.mode = ds::ExecMode::kOmpTasks};
       loop([&] { ds::execute(graph, exec); }, nothing, nothing);
       break;
     }

@@ -72,7 +72,7 @@ public:
   /// (Prometheus text, the default) or "csv". Returns the rendered body.
   std::string metrics(const std::string& format = "prom");
 
-  /// Chrome trace JSON for one job captured in the daemon's trace ring.
+  /// Chrome trace JSON of one job's events in the daemon's event log.
   /// Throws support::Error for unknown ids or evicted/disabled traces.
   std::string trace_json(std::uint64_t id);
 

@@ -693,27 +693,22 @@ void Service::slot_loop(unsigned si) {
     journal_append_locked("RUNNING", *job);
     lock.unlock();
 
-    // Per-job trace window. The trace ring has one process-global capture
-    // window; with K slots the slots contend for it and a loser simply
-    // runs untraced (first-come, first-traced).
+    // Tag this slot thread with the job: the job's pools and OpenMP teams
+    // inherit the tag, so its trace holds its own events and no other
+    // slot's.
     const std::string trace_id = job->spec.trace_id.empty()
                                      ? "job-" + std::to_string(job->id)
                                      : job->spec.trace_id;
-    const bool traced =
-        !trace_busy_.exchange(true, std::memory_order_acq_rel);
-    if (traced) obs::begin_job_trace(job->id, trace_id);
+    obs::begin_job_trace(job->id, trace_id);
     run_job(*job, si);
-    // Root span last so stray worker spans from the teardown are inside
-    // the window; rendered under this slot's lane.
+    // Root span last, so it encloses the job's teardown; rendered on this
+    // slot's track.
     obs::span("job[" + std::to_string(job->id) + "]", "svc", job->start_ns,
               support::now_ns(),
               "{\"trace_id\":\"" + support::json_escape(trace_id) +
                   "\",\"spec\":\"" +
                   support::json_escape(job->spec.describe()) + "\"}");
-    if (traced) {
-      obs::end_job_trace();
-      trace_busy_.store(false, std::memory_order_release);
-    }
+    obs::end_job_trace();
 
     lock.lock();
     slot.running = nullptr;

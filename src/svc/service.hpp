@@ -159,8 +159,8 @@ public:
     /// Directory for per-job solver checkpoints (STS_CKPT_DIR); empty
     /// disables checkpointing. Created on startup if missing.
     std::string ckpt_dir;
-    /// Byte budget for the per-job trace ring serving `stsctl trace <job>`
-    /// (STS_JOB_TRACE_BYTES); 0 disables per-job capture.
+    /// Byte budget for the job-tagged events serving `stsctl trace <job>`
+    /// (STS_JOB_TRACE_BYTES); oldest job evicted first, 0 disables capture.
     std::size_t job_trace_bytes = std::size_t{4} << 20;
     /// Capacity/budget/resilience paths from STS_QUEUE_CAP /
     /// STS_CACHE_BYTES / STS_THREADS / STS_SLOTS / STS_POLICY /
@@ -324,10 +324,6 @@ private:
   std::uint64_t grants_offered_ = 0;
   std::uint64_t grants_applied_ = 0;
   std::uint64_t grants_revoked_ = 0;
-
-  /// The job-trace ring has one process-global capture window; slots
-  /// contend for it and a loser simply runs untraced.
-  std::atomic<bool> trace_busy_{false};
 
   mutable std::mutex shutdown_mutex_;
   mutable std::condition_variable shutdown_cv_;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cctype>
@@ -609,20 +610,19 @@ TEST(CgPrebuilt, RejectsPreconditionerBuiltForAnotherSolve) {
   EXPECT_GT(ic0.bytes(), p.csr.memory_bytes() / 2); // holds L twice
 }
 
-/// Runs one flux IC(0)-CG solve and returns how many tasks its pool ran
-/// that the trace recorder did not see. Every CG task but the SpTRSV ones
-/// is recorded, so this counts the SpTRSV tasks.
+/// Runs one flux IC(0)-CG solve and returns how many per-row SpTRSV task
+/// events it logged. A chain factor's one sequential solve task carries
+/// row -1, so it does not count.
 std::uint64_t flux_sptrsv_tasks(const Problem& p, const CgPreconditioner& pre,
-                                SolverOptions opts, CgResult& out) {
-  obs::enable_metrics("");
-  const obs::Histogram& run_ns = obs::histogram("flux.task_run_ns");
-  const std::uint64_t before = run_ns.snapshot().count;
-  perf::TraceRecorder trace(opts.threads);
-  opts.trace = &trace;
+                                const SolverOptions& opts, CgResult& out) {
+  obs::enable_tracing(""); // buffer only; clears earlier events
   out = cg(p.csr, p.csb, Version::kFlux, pre, tight(Precond::kIc0), opts);
-  const std::uint64_t ran = run_ns.snapshot().count - before;
+  const std::vector<perf::TaskEvent> events = obs::task_events();
   obs::disable();
-  return ran - trace.events().size();
+  return static_cast<std::uint64_t>(std::count_if(
+      events.begin(), events.end(), [](const perf::TaskEvent& e) {
+        return e.kind == graph::KernelKind::kSpTRSV && e.task_id >= 0;
+      }));
 }
 
 // On a chain factor (every level one block row wide) flux runs the IC(0)

@@ -8,6 +8,7 @@
 #include "ds/builder.hpp"
 #include "ds/executor.hpp"
 #include "ds/program.hpp"
+#include "obs/obs.hpp"
 #include "sparse/generators.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
@@ -87,7 +88,7 @@ TEST_P(ProgramExecModes, SpmmKernelMatchesDense) {
   const DataId yid = prog.vec("y", &y);
   prog.spmm(xid, yid);
   const graph::Tdg g = prog.build();
-  execute(g, {.mode = GetParam(), .trace = nullptr});
+  execute(g, {.mode = GetParam()});
   for (index_t i = 0; i < m; ++i) {
     for (index_t j = 0; j < 4; ++j) {
       double acc = 0.0;
@@ -130,7 +131,7 @@ TEST_P(ProgramExecModes, FullKernelPipelineIsCorrect) {
                    {norm2});
   const graph::Tdg g = prog2.build();
   EXPECT_TRUE(g.is_acyclic());
-  execute(g, {.mode = GetParam(), .trace = nullptr});
+  execute(g, {.mode = GetParam()});
 
   // Reference.
   DenseMatrix y_ref(m, 3);
@@ -166,14 +167,14 @@ TEST_P(ProgramExecModes, ReductionBasedSpmmMatchesDependencyBased) {
                        .dependency_based_spmm = true,
                        .spmm_buffers = 3});
   dep.spmm(dep.vec("x", &x), dep.vec("y", &y_dep));
-  execute(dep.build(), {.mode = GetParam(), .trace = nullptr});
+  execute(dep.build(), {.mode = GetParam()});
 
   DenseMatrix y_red(m, 2);
   Program red(&f.csb, {.skip_empty_blocks = true,
                        .dependency_based_spmm = false,
                        .spmm_buffers = 3});
   red.spmm(red.vec("x", &x), red.vec("y", &y_red));
-  execute(red.build(), {.mode = GetParam(), .trace = nullptr});
+  execute(red.build(), {.mode = GetParam()});
 
   for (index_t i = 0; i < m; ++i) {
     for (index_t j = 0; j < 2; ++j) {
@@ -209,7 +210,7 @@ TEST_P(ProgramExecModes, VectorKernels) {
   static const index_t kCol = 3;
   prog.copy_into_column(wid, wideid, &kCol);  // wide(:,3) = w
   prog.scale_into(wid, sid, false, wid);      // w *= 4  (in place via copy)
-  execute(prog.build(), {.mode = GetParam(), .trace = nullptr});
+  execute(prog.build(), {.mode = GetParam()});
 
   for (index_t i = 0; i < m; ++i) {
     for (index_t j = 0; j < 2; ++j) {
@@ -279,7 +280,7 @@ TEST(Executor, OmpMatchesSerialOnRandomGraphs) {
         }
       }
     }
-    execute(g, {.mode = ExecMode::kOmpTasks, .trace = nullptr});
+    execute(g, {.mode = ExecMode::kOmpTasks});
     // Every task ran exactly once and dependencies were respected.
     for (int i = 0; i < n; ++i) {
       ASSERT_GE(finish_order[static_cast<std::size_t>(i)], 0);
@@ -312,7 +313,7 @@ TEST(Executor, MidGraphThrowSurfacesOneTaskErrorAndSkipsSuccessors) {
     g.add_edge(t0, t1);
     g.add_edge(t1, t2);
     try {
-      execute(g, {.mode = mode, .trace = nullptr});
+      execute(g, {.mode = mode});
       FAIL() << "expected TaskError";
     } catch (const support::TaskError& e) {
       EXPECT_EQ(e.task(), "spmv[2,1]");
@@ -328,7 +329,7 @@ TEST(Executor, ReusableAfterFailure) {
   graph::Task t;
   t.body = [] { throw std::runtime_error("boom"); };
   bad.add_task(std::move(t));
-  EXPECT_THROW(execute(bad, {.mode = ExecMode::kOmpTasks, .trace = nullptr}),
+  EXPECT_THROW(execute(bad, {.mode = ExecMode::kOmpTasks}),
                support::TaskError);
   // The failure is contained to that execute() call.
   ProgramFixture f;
@@ -338,7 +339,7 @@ TEST(Executor, ReusableAfterFailure) {
   Program prog(&f.csb, {});
   prog.spmm(prog.vec("x", &x), prog.vec("y", &y));
   EXPECT_NO_THROW(
-      execute(prog.build(), {.mode = ExecMode::kOmpTasks, .trace = nullptr}));
+      execute(prog.build(), {.mode = ExecMode::kOmpTasks}));
 }
 
 TEST(Executor, InjectedFaultNamesFailingTask) {
@@ -357,7 +358,7 @@ TEST(Executor, InjectedFaultNamesFailingTask) {
     prev = id;
   }
   try {
-    execute(g, {.mode = ExecMode::kOmpTasks, .trace = nullptr});
+    execute(g, {.mode = ExecMode::kOmpTasks});
     FAIL() << "expected TaskError from the injected fault";
   } catch (const support::TaskError& e) {
     EXPECT_EQ(e.task(), "spmv[1]"); // second task in the chain
@@ -372,9 +373,10 @@ TEST(Executor, RecordsTraceEvents) {
   Program prog(&f.csb, {});
   prog.spmm(prog.vec("x", &x), prog.vec("y", &y));
   const graph::Tdg g = prog.build();
-  perf::TraceRecorder trace(8);
-  execute(g, {.mode = ExecMode::kOmpTasks, .trace = &trace});
-  const auto events = trace.events();
+  obs::enable_tracing(""); // buffer only; clears earlier events
+  execute(g, {.mode = ExecMode::kOmpTasks});
+  const auto events = obs::task_events();
+  obs::disable();
   EXPECT_EQ(events.size(), g.task_count());
   for (const auto& ev : events) {
     EXPECT_GE(ev.end_ns, ev.start_ns);

@@ -17,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include "flux/dataflow.hpp"
+#include "flux/scheduler.hpp"
 #include "obs/expo.hpp"
 #include "obs/obs.hpp"
 #include "solvers/lanczos.hpp"
@@ -645,19 +647,48 @@ INSTANTIATE_TEST_SUITE_P(AllVersions, TraceRoundTrip,
                            return name;
                          });
 
-TEST(Trace, EventsFromOutsideThePoolGoToTheOverflowLane) {
-  // worker -1 is a thread outside the pool (the host helping inside
-  // future::get). Appending it to worker 0's unlocked lane would race with
-  // worker 0 itself.
-  perf::TraceRecorder recorder(2);
-  perf::TaskEvent ev;
-  ev.kind = graph::KernelKind::kSpMV;
-  ev.worker = -1;
-  ev.start_ns = 10;
-  ev.end_ns = 20;
-  obs::publish_task("flux", ev, &recorder);
-  EXPECT_EQ(recorder.overflow_count(), 1u);
-  EXPECT_EQ(recorder.events().size(), 1u);
+TEST(Trace, HostHelpingInFutureGetLogsOnItsOwnLane) {
+  // A thread outside the pool that runs a task while it waits in
+  // future::get logs the task on its own track, named "<runtime>/host",
+  // never on a worker's.
+  flux::Scheduler sched({.threads = 1});
+  obs::enable_tracing(""); // buffer only; clears earlier events
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  auto held = flux::async(sched, [&] {
+    obs::run_task("flux", graph::KernelKind::kXY, 1, sched.current_worker(),
+                  [&] {
+                    holding.store(true);
+                    while (!release.load()) std::this_thread::yield();
+                  });
+  });
+  while (!holding.load()) std::this_thread::yield();
+  // The only worker is held, so the waiting host runs this one itself.
+  flux::async(sched, [&] {
+    obs::run_task("flux", graph::KernelKind::kSpMV, 2,
+                  sched.current_worker(), [] {});
+  }).get(&sched);
+  release.store(true);
+  held.get(&sched);
+  const Json doc = export_and_parse();
+  obs::disable();
+
+  std::map<double, std::string> names; // tid -> thread_name
+  double spmv_tid = -1;
+  double xy_tid = -1;
+  for (const Json& ev : doc.find("traceEvents")->array) {
+    const std::string& name = ev.find("name")->string;
+    if (name == "thread_name") {
+      names[ev.find("tid")->number] = ev.find("args")->find("name")->string;
+    }
+    if (name == "spmv") spmv_tid = ev.find("tid")->number;
+    if (name == "xy") xy_tid = ev.find("tid")->number;
+  }
+  ASSERT_GE(spmv_tid, 0);
+  ASSERT_GE(xy_tid, 0);
+  EXPECT_NE(spmv_tid, xy_tid);
+  EXPECT_EQ(names[spmv_tid], "flux/host");
+  EXPECT_EQ(names[xy_tid], "flux/w0");
 }
 
 TEST(Trace, SchedulerMetricsSurfaceStealAndLatencyData) {
@@ -881,7 +912,7 @@ TEST(Profiler, HwCountersDegradeGracefully) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-job trace ring
+// Per-job traces
 // ---------------------------------------------------------------------------
 
 TEST(JobTrace, CapturesEventsForTheActiveJobOnly) {
@@ -895,7 +926,7 @@ TEST(JobTrace, CapturesEventsForTheActiveJobOnly) {
   obs::end_job_trace();
   EXPECT_FALSE(obs::job_trace_active());
 
-  // Events emitted outside any capture window belong to no job.
+  // Events from an untagged thread belong to no job.
   obs::span("orphan:work", "svc", t0, t0 + 1000);
 
   obs::begin_job_trace(102, "trace-bbb");
@@ -961,6 +992,68 @@ TEST(JobTrace, ZeroCapacityDisablesCapture) {
   obs::end_job_trace();
   std::ostringstream os;
   EXPECT_FALSE(obs::write_job_trace_json(301, os));
+  obs::set_job_trace_capacity(std::size_t{4} << 20);
+}
+
+TEST(JobTrace, ConcurrentPushesExportsAndEvictionsStayCoherent) {
+  // Four tagged threads push into a small budget, so evictions run
+  // alongside the pushes, while a reader keeps exporting every slice.
+  obs::disable();
+  obs::set_job_trace_capacity(16 * 1024);
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kFirstJob = 401;
+  std::atomic<bool> done{false};
+  std::vector<std::thread> pushers;
+  for (int t = 0; t < kThreads; ++t) {
+    pushers.emplace_back([t] {
+      const std::uint64_t job = kFirstJob + static_cast<std::uint64_t>(t);
+      obs::begin_job_trace(job, "c" + std::to_string(job));
+      const std::string name = "job" + std::to_string(job);
+      for (int i = 0; i < 400; ++i) {
+        const std::int64_t now = support::now_ns();
+        obs::span(name, "svc", now, now + 10);
+        obs::publish_task("flux", {i, graph::KernelKind::kSpMV, t, now,
+                                   now + 5});
+      }
+      obs::end_job_trace();
+    });
+  }
+  int exported = 0;
+  std::thread reader([&] {
+    do {
+      for (int t = 0; t < kThreads; ++t) {
+        const std::uint64_t job = kFirstJob + static_cast<std::uint64_t>(t);
+        std::ostringstream os;
+        if (!obs::write_job_trace_json(job, os)) continue;
+        ++exported;
+        const Json doc = JsonParser(os.str()).parse();
+        for (const Json& ev : doc.find("traceEvents")->array) {
+          const std::string& name = ev.find("name")->string;
+          if (name.rfind("job", 0) == 0) {
+            EXPECT_EQ(name, "job" + std::to_string(job)) << "cross-job leak";
+          }
+        }
+      }
+      std::ostringstream all;
+      obs::write_trace_json(all);
+    } while (!done.load());
+  });
+  for (std::thread& t : pushers) t.join();
+  done.store(true);
+  reader.join();
+  EXPECT_GT(exported, 0);
+  // Shrinking the budget evicts at once: whole jobs oldest first, the
+  // newest only in part.
+  obs::set_job_trace_capacity(1024);
+  int kept = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    std::ostringstream os;
+    kept += obs::write_job_trace_json(kFirstJob + static_cast<std::uint64_t>(t),
+                                      os)
+                ? 1
+                : 0;
+  }
+  EXPECT_EQ(kept, 1);
   obs::set_job_trace_capacity(std::size_t{4} << 20);
 }
 

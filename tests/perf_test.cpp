@@ -18,49 +18,6 @@ TaskEvent ev(graph::KernelKind kind, int worker, std::int64_t start,
   return e;
 }
 
-TEST(TraceRecorder, MergesAndRebasesLanes) {
-  TraceRecorder rec(2);
-  rec.record(0, ev(graph::KernelKind::kSpMM, 0, 1000, 1500));
-  rec.record(1, ev(graph::KernelKind::kXY, 1, 1200, 1400));
-  rec.record(0, ev(graph::KernelKind::kXTY, 0, 1600, 1700));
-  const auto events = rec.events();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].start_ns, 0);   // rebased to earliest start
-  EXPECT_EQ(events[0].kind, graph::KernelKind::kSpMM);
-  EXPECT_EQ(events[1].start_ns, 200);
-  EXPECT_EQ(events[2].end_ns, 700);
-}
-
-TEST(TraceRecorder, ClearEmptiesLanes) {
-  TraceRecorder rec(1);
-  rec.record(0, ev(graph::KernelKind::kSpMM, 0, 0, 10));
-  rec.clear();
-  EXPECT_TRUE(rec.events().empty());
-}
-
-TEST(TraceRecorder, OutOfRangeWorkerLandsInOverflowLane) {
-  // Regression: a worker id at/past the lane count (e.g. a helper thread
-  // the caller did not size for) must not crash or drop the event.
-  TraceRecorder rec(2);
-  rec.record(0, ev(graph::KernelKind::kSpMM, 0, 100, 200));
-  rec.record(2, ev(graph::KernelKind::kXY, 2, 150, 250));    // == lanes
-  rec.record(99, ev(graph::KernelKind::kXTY, 99, 300, 400)); // way past
-  EXPECT_EQ(rec.overflow_count(), 2u);
-  const auto events = rec.events();
-  ASSERT_EQ(events.size(), 3u); // overflow events merge into events()
-  bool saw_xy = false;
-  bool saw_xty = false;
-  for (const auto& e : events) {
-    if (e.kind == graph::KernelKind::kXY) saw_xy = true;
-    if (e.kind == graph::KernelKind::kXTY) saw_xty = true;
-  }
-  EXPECT_TRUE(saw_xy);
-  EXPECT_TRUE(saw_xty);
-  rec.clear();
-  EXPECT_EQ(rec.overflow_count(), 0u);
-  EXPECT_TRUE(rec.events().empty());
-}
-
 TEST(FlowGraph, CountsConcurrency) {
   std::vector<TaskEvent> events = {
       ev(graph::KernelKind::kSpMM, 0, 0, 100),

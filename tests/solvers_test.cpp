@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "la/eig.hpp"
+#include "obs/obs.hpp"
 #include "solvers/lanczos.hpp"
 #include "solvers/lobpcg.hpp"
 #include "sparse/generators.hpp"
@@ -145,11 +146,10 @@ TEST(SolverOptions, NumaDomainsAndNoFirstTouch) {
 
 TEST(Solvers, TraceRecordingProducesEvents) {
   Problem p = fem_problem();
-  perf::TraceRecorder trace(8);
-  SolverOptions o = base_options();
-  o.trace = &trace;
-  (void)lanczos(p.csr, p.csb, 3, Version::kFlux, o);
-  EXPECT_GT(trace.events().size(), 10u);
+  obs::enable_tracing(""); // buffer only; clears earlier events
+  (void)lanczos(p.csr, p.csb, 3, Version::kFlux, base_options());
+  EXPECT_GT(obs::task_events().size(), 10u);
+  obs::disable();
 }
 
 TEST(Solvers, TaskRuntimesAgreeBitwise) {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "obs/obs.hpp"
+#include "obs/trace_sink.hpp"
 #include "proc_util.hpp"
 #include "solvers/cg.hpp"
 #include "support/error.hpp"
@@ -821,6 +822,84 @@ TEST(Server, TraceOpReturnsPerJobChromeTrace) {
   // Unknown job ids surface as a typed error through the client.
   EXPECT_THROW((void)client.trace_json(999999), support::Error);
   server.stop();
+}
+
+/// The per-job slice of `id` as JSON text; empty when nothing is buffered.
+std::string job_trace(std::uint64_t id) {
+  std::ostringstream os;
+  return obs::write_job_trace_json(id, os) ? os.str() : std::string();
+}
+
+/// Checks that job `id`'s slice holds only its own root span and
+/// iteration spans (category `label`), and at least one of each.
+void expect_own_events(std::uint64_t id, const std::string& label) {
+  const std::string trace = job_trace(id);
+  ASSERT_FALSE(trace.empty()) << "no trace for job " << id;
+  const svc::wire::Json doc = svc::wire::Json::parse(trace);
+  int roots = 0;
+  int iters = 0;
+  for (const svc::wire::Json& ev : doc.get("traceEvents").items()) {
+    const std::string name = ev.string_or("name", "");
+    if (name.rfind("job[", 0) == 0) {
+      EXPECT_EQ(name, "job[" + std::to_string(id) + "]");
+      ++roots;
+    }
+    if (name.rfind("iter[", 0) == 0) {
+      EXPECT_EQ(ev.string_or("cat", ""), label) << "job " << id;
+      ++iters;
+    }
+  }
+  EXPECT_EQ(roots, 1) << "job " << id;
+  EXPECT_GT(iters, 0) << "job " << id;
+}
+
+// Two slots run a flux Lanczos job while an rgt LOBPCG job is running:
+// each job's trace holds its own events and none of the other's.
+TEST(JobTraces, ConcurrentJobsInTwoSlotsDoNotLeakIntoEachOther) {
+  svc::Service::Config config = test_config();
+  config.slots = 2;
+  svc::Service service(config);
+  svc::RunSpec lobpcg = long_spec();
+  lobpcg.version = solver::Version::kRgt;
+  const auto slow = service.submit(lobpcg);
+  ASSERT_TRUE(slow.accepted);
+  // Wait for its first finished iteration, so it has one to show.
+  for (int i = 0;
+       i < 1000 && job_trace(slow.id).find("iter[") == std::string::npos;
+       ++i) {
+    std::this_thread::sleep_for(10ms);
+  }
+
+  svc::RunSpec lanczos =
+      quick_spec(svc::SolverKind::kLanczos, solver::Version::kFlux);
+  lanczos.iterations = 20;
+  const auto quick = service.submit(lanczos);
+  ASSERT_TRUE(quick.accepted);
+  ASSERT_EQ(service.wait(quick.id, 30s).state, svc::JobState::kDone);
+  EXPECT_EQ(service.status(slow.id).state, svc::JobState::kRunning);
+  EXPECT_TRUE(service.cancel(slow.id, "test done"));
+  ASSERT_EQ(service.wait(slow.id, 30s).state, svc::JobState::kCancelled);
+
+  expect_own_events(quick.id, "lanczos.flux");
+  expect_own_events(slow.id, "lobpcg.rgt");
+}
+
+// Every flux job starts a fresh pool: the lanes its exited workers leave
+// behind go to the next job's workers instead of piling up.
+TEST(JobTraces, SequentialJobsReuseTheLanesOfExitedWorkers) {
+  svc::Service service(test_config());
+  auto run_one = [&] {
+    const auto out = service.submit(
+        quick_spec(svc::SolverKind::kLanczos, solver::Version::kFlux));
+    ASSERT_TRUE(out.accepted);
+    ASSERT_EQ(service.wait(out.id, 30s).state, svc::JobState::kDone);
+  };
+  run_one();
+  const std::size_t lanes = obs::TraceSink::instance().lane_count();
+  for (int i = 1; i < 20; ++i) run_one();
+  // A small constant over the first job's count (the first job may have
+  // met fewer threads), not one more per job.
+  EXPECT_LE(obs::TraceSink::instance().lane_count(), lanes + 4);
 }
 
 // --------------------------------------------------------- http scrape --

@@ -100,15 +100,17 @@ stage_asan() {
 
 stage_tsan() {
   echo "== tsan: build + metric/trace/profiler race checks =="
-  # Scoped to the obs primitives: the hot/cold histogram snapshot, the job
-  # trace ring, and the sampling profiler are the hand-rolled atomics where
-  # TSan has teeth. The OpenMP runtimes are excluded — libgomp is not
-  # TSan-instrumented and drowns real reports in false positives.
+  # Scoped to the obs primitives: the hot/cold histogram snapshot, the
+  # task-event log (pushes from several threads racing exports and
+  # evictions, and a host helping a flux pool logging on its own lane), and
+  # the sampling profiler are the hand-rolled atomics where TSan has teeth.
+  # The OpenMP runtimes are excluded — libgomp is not TSan-instrumented and
+  # drowns real reports in false positives.
   cmake -B "$tsan_build" -S "$repo" -DSTS_SANITIZE=thread \
     -DSTS_BUILD_BENCH=OFF
   cmake --build "$tsan_build" -j "$jobs" --target obs_test
   "$tsan_build/tests/obs_test" \
-    --gtest_filter='Registry.*:Histogram.*:Prometheus.*:Profiler.*:JobTrace.*'
+    --gtest_filter='Registry.*:Histogram.*:Prometheus.*:Profiler.*:JobTrace.*:Trace.HostHelpingInFutureGetLogsOnItsOwnLane'
   # Dispatcher structures under TSan: the FairQueue and partition
   # arithmetic (plus policy parsing). The Service-level dispatch tests run
   # solves whose plan/solver paths enter OpenMP regions, and libgomp is not
