@@ -11,6 +11,7 @@
 #include "ds/executor.hpp"
 #include "ds/program.hpp"
 #include "flux/dataflow.hpp"
+#include "flux/task_graph.hpp"
 #include "obs/obs.hpp"
 #include "rgt/runtime.hpp"
 #include "sparse/generators.hpp"
@@ -86,6 +87,26 @@ void BM_FluxDataflowChain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 512);
 }
 BENCHMARK(BM_FluxDataflowChain);
+
+// The same 512 empty nodes captured once into a flux::TaskGraph and
+// replayed: Arg(0) a chain (every node waits for the previous one), Arg(1)
+// a fan (one root releases 511 independent nodes). Wall time: the calling
+// thread runs no node, so its CPU time would show only the wait.
+void BM_FluxGraphReplay(benchmark::State& state) {
+  const bool fan = state.range(0) != 0;
+  flux::Scheduler sched({.threads = 2});
+  flux::TaskGraph g;
+  const int n = 512;
+  for (int i = 0; i < n; ++i) {
+    std::vector<flux::TaskGraph::NodeId> preds;
+    if (i > 0) preds.push_back(fan ? 0 : static_cast<std::uint32_t>(i - 1));
+    g.add([] {}, graph::KernelKind::kOther, i, -1, std::move(preds));
+  }
+  for (auto _ : state) g.run(sched);
+  state.SetItemsProcessed(state.iterations() * n);
+  state.SetLabel(fan ? "fan" : "chain");
+}
+BENCHMARK(BM_FluxGraphReplay)->Arg(0)->Arg(1)->UseRealTime();
 
 void BM_RgtAnalysis(benchmark::State& state) {
   const bool traced = state.range(0) != 0;

@@ -515,20 +515,39 @@ void Scheduler::run_task(QueuedTask& task) {
   if (timed) task_run_histogram().observe(support::now_ns() - t0);
 }
 
+bool Scheduler::find_task(unsigned index, QueuedTask& out, bool spin) {
+  if (pop_own(index, out) || steal(index, out)) return true;
+  if (!spin) return false;
+  // A worker that has just gone idle keeps looking for kIdleSpin, yielding
+  // between scans, before it sleeps: a task graph releases its next wave,
+  // and the host its next replay, within microseconds, and a futex sleep
+  // plus wake costs more than that (libgomp spins the same way).
+  const std::int64_t until = support::now_ns() + kIdleSpin.count();
+  while (!stopping_.load(std::memory_order_acquire) &&
+         support::now_ns() < until) {
+    std::this_thread::yield();
+    if (pop_own(index, out) || steal(index, out)) return true;
+  }
+  return false;
+}
+
 void Scheduler::worker_loop(unsigned index) {
   tls_scheduler = this;
   tls_worker_index = static_cast<int>(index);
   obs::set_current_job(job_);
   pin_self(index);
   QueuedTask task;
+  bool just_ran = false;
   while (true) {
-    if (pop_own(index, task) || steal(index, task)) {
+    if (find_task(index, task, just_ran)) {
       run_task(task);
       ++workers_[index]->executed;
       executed_counter().add(1);
       on_task_done();
+      just_ran = true;
       continue;
     }
+    just_ran = false;
     std::unique_lock<std::mutex> lock(sleep_mutex_);
     if (stopping_.load(std::memory_order_acquire)) return;
     // Register as a sleeper *before* re-checking for work: the seq_cst

@@ -43,9 +43,9 @@ enum class Affinity : std::uint8_t { kOff, kCompact, kScatter };
 // backed by a slot pool, so the worker-local spawn/pop/steal fast path
 // takes no lock and allocates nothing for closures that fit Task's inline
 // buffer. External submissions (and ring overflow) go through a small
-// mutex-protected per-worker inbox. Workers that find no work sleep on a
-// condition variable; submissions wake at most one sleeper, and only when
-// a sleeper actually exists.
+// mutex-protected per-worker inbox. A worker that runs out of work spins
+// for kIdleSpin, then sleeps on a condition variable; submissions wake at
+// most one sleeper, and only when a sleeper actually exists.
 class Scheduler {
 public:
   struct Config {
@@ -217,6 +217,11 @@ public:
   /// overflows into its (locked) inbox rather than failing.
   static constexpr std::uint32_t kRingCapacity = 4096;
 
+  /// How long a worker that has just run out of work keeps scanning for
+  /// more before it sleeps. Only the busy-to-idle transition spins: a
+  /// worker woken by the sleep path's timed back-off rescans once.
+  static constexpr std::chrono::nanoseconds kIdleSpin{50'000};
+
 private:
   struct QueuedTask {
     Task fn;
@@ -244,6 +249,8 @@ private:
   void assign_cpu_slot(unsigned w, int cpu_id);
   void pin_self(unsigned index) const;
   void worker_loop(unsigned index);
+  /// pop_own, then steal; with `spin`, keeps retrying for kIdleSpin.
+  bool find_task(unsigned index, QueuedTask& out, bool spin);
   void enqueue(QueuedTask task, int domain_hint);
   void wake_one();
   bool pop_own(unsigned index, QueuedTask& out);

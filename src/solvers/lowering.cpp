@@ -1,6 +1,5 @@
 #include "solvers/lowering.hpp"
 
-#include "flux/dataflow.hpp"
 #include "la/blas.hpp"
 
 namespace sts::solver {
@@ -182,11 +181,11 @@ void PieceLowering::copy_into_column(DataId x, DataId y, const index_t* col) {
   la::DenseMatrix* xm = matrix(x);
   la::DenseMatrix* ym = matrix(y);
   STS_EXPECTS(xm->cols() == 1 && col != nullptr);
-  const index_t c = *col;
   per_piece([&](index_t p, index_t r0, index_t nr) {
     return PieceTask{KernelKind::kAxpy, static_cast<std::int32_t>(p), p,
                      {{x, p, Mode::kRead}, {y, p, Mode::kReadWrite}},
-                     [xm, ym, r0, nr, c] {
+                     [xm, ym, r0, nr, col] {
+                       const index_t c = *col;
                        for (index_t i = 0; i < nr; ++i) {
                          ym->at(r0 + i, c) = xm->at(r0 + i, 0);
                        }
@@ -267,27 +266,29 @@ FluxLowering::FluxLowering(const sparse::Csb& a, const SolverOptions& options)
 void FluxLowering::on_register(DataId /*id*/, std::string /*name*/,
                                std::span<double> /*storage*/,
                                bool partitioned) {
+  STS_EXPECTS(!captured_);
   const auto pieces = static_cast<std::size_t>(partitioned ? np_ : 1);
-  futs_.push_back({std::vector<Fut>(pieces, flux::make_ready_future()),
-                   std::vector<std::vector<Fut>>(pieces), !partitioned});
+  pieces_.push_back({std::vector<std::int64_t>(pieces, -1),
+                     std::vector<std::vector<NodeId>>(pieces)});
 }
 
 void FluxLowering::issue(PieceTask task) {
+  STS_EXPECTS(!captured_);
   // Pieces a use covers: one, or all of them for piece -1.
   auto each_piece = [&](const PieceTask::Use& u, auto fn) {
-    Futures& f = futs_[static_cast<std::size_t>(u.data)];
+    Pieces& d = pieces_[static_cast<std::size_t>(u.data)];
     if (u.piece >= 0) {
-      fn(f, static_cast<std::size_t>(u.piece));
+      fn(d, static_cast<std::size_t>(u.piece));
       return;
     }
-    for (std::size_t p = 0; p < f.w.size(); ++p) fn(f, p);
+    for (std::size_t p = 0; p < d.writer.size(); ++p) fn(d, p);
   };
-  std::vector<Fut> deps;
+  std::vector<NodeId> preds;
   for (const PieceTask::Use& u : task.uses) {
-    each_piece(u, [&](Futures& f, std::size_t p) {
-      deps.push_back(f.w[p]);
+    each_piece(u, [&](Pieces& d, std::size_t p) {
+      if (d.writer[p] >= 0) preds.push_back(static_cast<NodeId>(d.writer[p]));
       if (u.mode != Mode::kRead) {
-        deps.insert(deps.end(), f.r[p].begin(), f.r[p].end());
+        preds.insert(preds.end(), d.readers[p].begin(), d.readers[p].end());
       }
     });
   }
@@ -295,29 +296,26 @@ void FluxLowering::issue(PieceTask task) {
   // hinted task lands on the node whose memory holds its block row.
   const int domain =
       task.home >= 0 && numa_domains_ > 1 ? dmap_.owner(task.home) : -1;
-  const Fut done =
-      flux::dataflow_hint(*sched_, domain,
-                          flux::unwrapping(flux_task(*sched_, task.kind,
-                                                     task.id,
-                                                     std::move(task.body))),
-                          std::move(deps))
-          .share();
+  const NodeId node = graph_.add(std::move(task.body), task.kind, task.id,
+                                 domain, std::move(preds));
   for (const PieceTask::Use& u : task.uses) {
-    each_piece(u, [&](Futures& f, std::size_t p) {
+    each_piece(u, [&](Pieces& d, std::size_t p) {
       if (u.mode == Mode::kRead) {
-        f.r[p].push_back(done);
+        d.readers[p].push_back(node);
       } else {
-        f.w[p] = done;
-        f.r[p].clear();
+        d.writer[p] = node;
+        d.readers[p].clear();
       }
     });
   }
 }
 
 void FluxLowering::wait() {
-  for (const Futures& f : futs_) {
-    if (f.host_read) f.w.front().get(sched_);
+  if (!captured_) {
+    captured_ = true;
+    pieces_ = {};
   }
+  graph_.run(*sched_);
 }
 
 void FluxLowering::finish() {

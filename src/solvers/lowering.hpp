@@ -8,8 +8,9 @@
 //
 //   ds    ds::Program itself: the script is issued once into a task
 //         dependency graph that every iteration re-executes (DeepSparse).
-//   flux  FluxLowering: every call issues dataflow tasks threaded through
-//         per-piece last-writer / reader futures (HPX, Listing 2).
+//   flux  FluxLowering: the first iteration's calls are captured into a
+//         flux::TaskGraph, wired by per-piece last writer and readers
+//         (the discipline of HPX's Listing 2); every iteration replays it.
 //   rgt   RgtLowering: every call launches region tasks with privileges;
 //         rgt's dependence analysis wires them (Regent, Listing 3).
 //
@@ -17,13 +18,12 @@
 // per-piece tasks ds::Program would build; they differ only in how a task
 // is issued.
 //
-// Iteration boundary: ds runs its graph to completion; rgt issues the
-// iteration, then wait_all(); flux issues the iteration, then waits for
-// the last writer of every registered small and scalar — everything the
-// host reads — while vector pieces keep flowing into the next iteration.
-// Host state a call depends on (the copy_into_column column) is read when
-// flux and rgt issue the task, and when ds executes it; registered scalars
-// are always read when the task executes.
+// Iteration boundary: a full barrier in every runtime. ds and flux run
+// their graph to completion; rgt issues the iteration, then wait_all().
+// Host state a call depends on (the copy_into_column column, registered
+// scalars) is read when the task executes, in every runtime: ds and flux
+// run one graph for every iteration, and the host changes that state only
+// in accept(), after the barrier.
 #pragma once
 
 #include <algorithm>
@@ -35,8 +35,8 @@
 
 #include "ds/executor.hpp"
 #include "ds/program.hpp"
-#include "flux/future.hpp"
 #include "flux/scheduler.hpp"
+#include "flux/task_graph.hpp"
 #include "obs/obs.hpp"
 #include "rgt/runtime.hpp"
 #include "solvers/checkpoint.hpp"
@@ -75,8 +75,8 @@ struct PieceTask {
 /// The kernel-call vocabulary of ds::Program, expanded into per-piece tasks
 /// over the CSB partition (the same tasks, bodies and reduction orders as
 /// ds::Program, so results are bit-identical). Each task is handed to the
-/// runtime as it is issued — no graph is built. A runtime supplies how data
-/// is registered, how a task is issued and how an iteration ends.
+/// runtime as it is issued. A runtime supplies how data is registered, how
+/// a task is issued and how an iteration ends.
 class PieceLowering {
 public:
   PieceLowering(const PieceLowering&) = delete;
@@ -93,8 +93,7 @@ public:
   void xty(DataId x, DataId y, DataId p);
   void axpy(double alpha, DataId x, DataId y);
   void copy(DataId x, DataId y);
-  /// The column is read here, when the tasks are issued: a task may run
-  /// after the host has moved on to the next column.
+  /// The column is read when the task executes.
   void copy_into_column(DataId x, DataId y, const index_t* col);
   /// The scalar is read when the task executes.
   void scale_into(DataId x, DataId s, bool reciprocal, DataId y);
@@ -109,6 +108,9 @@ public:
   virtual void quiesce() {}
   /// Drains at the normal exit, rethrowing a latched task failure.
   virtual void finish() {}
+  /// True when end_iteration() replays an iteration captured earlier, so
+  /// the script must not issue its calls again.
+  [[nodiscard]] virtual bool replaying() const { return false; }
 
 protected:
   PieceLowering(const sparse::Csb& a, const SolverOptions& options);
@@ -160,11 +162,12 @@ private:
   std::size_t cursor_ = 0;
 };
 
-/// flux: per piece, the last-writer future and the reader futures since
-/// that write — the discipline an HPX programmer applies by hand in
-/// Listing 2. A task waits for the last writer of what it reads, and for
-/// the last writer and every reader of what it writes. An iteration ends
-/// when the last writer of every small and scalar is done.
+/// flux: the first iteration's tasks are captured into a flux::TaskGraph
+/// and every iteration replays it. Edges follow the discipline an HPX
+/// programmer applies by hand in Listing 2, applied per piece: a task runs
+/// after the last writer of what it reads, and after the last writer and
+/// every reader of what it writes. An iteration ends when the whole graph
+/// has run.
 class FluxLowering final : public PieceLowering {
 public:
   /// Runs on options.flux_pool when set, else on a private scheduler.
@@ -172,13 +175,15 @@ public:
 
   void quiesce() override { sched_->wait_for_quiescence(); }
   void finish() override;
+  /// True once the first end_iteration() has captured the graph.
+  [[nodiscard]] bool replaying() const override { return captured_; }
 
 private:
-  using Fut = flux::shared_future<void>;
-  struct Futures {
-    std::vector<Fut> w;              // last writer, per piece
-    std::vector<std::vector<Fut>> r; // readers since that write, per piece
-    bool host_read = false;          // small or scalar: wait() joins w
+  using NodeId = flux::TaskGraph::NodeId;
+  /// Capture state of one registered data, per piece.
+  struct Pieces {
+    std::vector<std::int64_t> writer;        // last writer node, or -1
+    std::vector<std::vector<NodeId>> readers; // readers since that write
   };
 
   void on_register(DataId id, std::string name, std::span<double> storage,
@@ -190,7 +195,9 @@ private:
   sparse::Csb::DomainMap dmap_; // stripe owners, shared with place_stripes
   std::unique_ptr<flux::Scheduler> owned_; // empty when the pool is shared
   flux::Scheduler* sched_;
-  std::vector<Futures> futs_; // indexed by DataId
+  std::vector<Pieces> pieces_; // indexed by DataId; freed once captured
+  bool captured_ = false;
+  flux::TaskGraph graph_;
   // Last member: destroyed first, so an unwinding solve drains every task
   // before the state it touches goes away (the destructor swallows the
   // latched failure; the unwinding exception is the one to report).
@@ -264,7 +271,7 @@ IterationTiming run_tasks(Version v, const char* solver,
     script.declare(lowering);
     loop(
         [&] {
-          script.issue(lowering);
+          if (!lowering.replaying()) script.issue(lowering);
           lowering.end_iteration();
         },
         [&] { lowering.quiesce(); }, [&] { lowering.finish(); });

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <time.h>
+
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -11,6 +14,7 @@
 #include <vector>
 
 #include "flux/dataflow.hpp"
+#include "flux/task_graph.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
@@ -446,6 +450,103 @@ TEST(Scheduler, RingOverflowFallsBackToInbox) {
   });
   s.wait_for_quiescence();
   EXPECT_EQ(count.load(), n);
+}
+
+// Idle workers spin for Scheduler::kIdleSpin after their last task, then
+// sleep: a pool sitting idle must not cost a service slot a core.
+TEST(Scheduler, IdleWorkersSleepAfterSpinWindow) {
+  Scheduler s(cfg(4));
+  std::atomic<int> ran{0};
+  s.submit([&ran] { ran.fetch_add(1); });
+  s.wait_for_quiescence();
+  ASSERT_EQ(ran.load(), 1);
+  auto cpu_ns = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+  };
+  const std::int64_t cpu0 = cpu_ns();
+  const auto wall0 = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const std::int64_t cpu = cpu_ns() - cpu0;
+  const std::int64_t wall =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - wall0)
+          .count();
+  // One busy worker would burn about `wall`; four that spin for 50 µs and
+  // then sleep burn next to nothing.
+  EXPECT_LT(cpu, wall / 10) << "cpu " << cpu << " ns over " << wall
+                            << " ns idle";
+}
+
+/// Random DAG: node i depends on up to three earlier nodes.
+std::vector<std::vector<TaskGraph::NodeId>> random_dag(support::Xoshiro256& rng,
+                                                       int n) {
+  std::vector<std::vector<TaskGraph::NodeId>> deps(static_cast<std::size_t>(n));
+  for (int i = 1; i < n; ++i) {
+    const int ndeps = static_cast<int>(rng.below(4));
+    for (int d = 0; d < ndeps; ++d) {
+      deps[static_cast<std::size_t>(i)].push_back(
+          static_cast<TaskGraph::NodeId>(
+              rng.below(static_cast<std::uint64_t>(i))));
+    }
+  }
+  return deps;
+}
+
+TEST(TaskGraph, EveryReplayRunsEachNodeAfterItsPredecessors) {
+  support::Xoshiro256 rng(321);
+  Scheduler s(cfg(4));
+  for (int trial = 0; trial < 5; ++trial) {
+    const int n = 30 + static_cast<int>(rng.below(40));
+    const auto deps = random_dag(rng, n);
+    // Each run stamps every node with 1 + the largest stamp among its
+    // predecessors; the stamps are cleared between runs, so a node that
+    // ran before a predecessor shows as a short stamp.
+    std::vector<std::int64_t> depth(static_cast<std::size_t>(n), 0);
+    std::vector<std::int64_t> serial(static_cast<std::size_t>(n), 0);
+    TaskGraph g;
+    for (int i = 0; i < n; ++i) {
+      const auto& mine = deps[static_cast<std::size_t>(i)];
+      std::int64_t d = 0;
+      for (const auto p : mine) d = std::max(d, serial[p]);
+      serial[static_cast<std::size_t>(i)] = d + 1;
+      g.add(
+          [i, &depth, &mine] {
+            std::int64_t v = 0;
+            for (const auto p : mine) v = std::max(v, depth[p]);
+            depth[static_cast<std::size_t>(i)] = v + 1;
+          },
+          graph::KernelKind::kOther, i, -1, mine);
+    }
+    for (int run = 0; run < 3; ++run) {
+      std::fill(depth.begin(), depth.end(), 0);
+      g.run(s);
+      ASSERT_EQ(depth, serial) << "trial " << trial << " run " << run;
+    }
+  }
+}
+
+TEST(TaskGraph, FailedNodeStrandsSuccessorsAndRunRethrows) {
+  Scheduler s(cfg(2));
+  std::atomic<bool> fail{true};
+  std::atomic<int> tail_runs{0};
+  TaskGraph g;
+  const TaskGraph::NodeId a = g.add([] {}, graph::KernelKind::kOther, 0, -1,
+                                    {});
+  const TaskGraph::NodeId b = g.add(
+      [&fail] {
+        if (fail.load()) throw std::runtime_error("node b failed");
+      },
+      graph::KernelKind::kOther, 1, -1, {a});
+  g.add([&tail_runs] { tail_runs.fetch_add(1); }, graph::KernelKind::kOther,
+        2, -1, {b, b}); // duplicate edge: one join
+  EXPECT_THROW(g.run(s), std::runtime_error);
+  EXPECT_EQ(tail_runs.load(), 0);
+  EXPECT_FALSE(s.cancelled());
+  fail = false;
+  g.run(s); // the graph and the pool are both reusable
+  EXPECT_EQ(tail_runs.load(), 1);
 }
 
 } // namespace

@@ -1,12 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
+#include <string>
+#include <thread>
 
+#include "flux/scheduler.hpp"
 #include "la/eig.hpp"
 #include "obs/obs.hpp"
 #include "solvers/lanczos.hpp"
 #include "solvers/lobpcg.hpp"
+#include "solvers/lowering.hpp"
 #include "sparse/generators.hpp"
+#include "support/fault.hpp"
 #include "tuning/block_select.hpp"
 
 namespace sts::solver {
@@ -232,6 +241,107 @@ TEST(Tuning, RecommendedBlockSizeWorksEndToEnd) {
   SolverOptions o = base_options(size);
   auto r = lanczos(csr, csb, 20, Version::kDs, o);
   EXPECT_FALSE(r.ritz_values.empty());
+}
+
+// ---- flux graph replay ----------------------------------------------------
+// These stay outside OpenMP (first_touch off, no ds), so ThreadSanitizer
+// can check them.
+
+/// A script that counts its issue() calls. Each iteration: y += x, then
+/// s = y . y.
+struct CountingScript {
+  la::DenseMatrix x;
+  la::DenseMatrix y;
+  double s = 0.0;
+  int issued = 0;
+  DataId xd = -1, yd = -1, sd = -1;
+
+  explicit CountingScript(index_t rows) : x(rows, 1), y(rows, 1) {
+    x.fill(1.0);
+  }
+
+  template <typename L>
+  void declare(L& l) {
+    xd = l.vec("x", &x);
+    yd = l.vec("y", &y);
+    sd = l.scalar("s", &s);
+  }
+
+  template <typename L>
+  void issue(L& l) {
+    ++issued;
+    l.axpy(1.0, xd, yd);
+    l.dot(yd, yd, sd);
+  }
+
+  bool accept(obs::IterScope& /*iter*/, int /*it*/) { return true; }
+  void checkpoint(int /*completed*/, int /*every*/) {}
+};
+
+TEST(FluxReplay, IssuesTheScriptOnce) {
+  const sparse::Csb csb =
+      sparse::Csb::from_coo(sparse::gen_fem3d(6, 6, 6, 1, 101), 32);
+  SolverOptions o = base_options();
+  o.first_touch = false;
+  const int k = 5;
+  const index_t m = csb.rows();
+  for (Version v : {Version::kFlux, Version::kRgt}) {
+    SCOPED_TRACE(to_string(v));
+    CountingScript script(m);
+    const IterationTiming t = run_tasks(v, "count", csb, o, 0, k, script);
+    EXPECT_EQ(t.iterations, k);
+    EXPECT_EQ(script.issued, v == Version::kFlux ? 1 : k);
+    // Every iteration ran, whether replayed or issued: y = k x.
+    for (index_t i = 0; i < m; ++i) ASSERT_EQ(script.y.at(i, 0), k);
+    EXPECT_EQ(script.s, static_cast<double>(m) * k * k);
+  }
+}
+
+// A task of the second iteration, a replayed one, fails on a shared pool:
+// the solve rethrows instead of waiting on the successors it stranded, and
+// the pool runs the next solve as if nothing happened.
+TEST(FluxReplay, LateTaskFailureSurfacesAndPoolStaysUsable) {
+  const sparse::Coo coo = sparse::gen_fem3d(6, 6, 6, 1, 101);
+  const sparse::Csr csr = sparse::Csr::from_coo(coo);
+  const sparse::Csb csb = sparse::Csb::from_coo(coo, 32);
+  SolverOptions o = base_options();
+  o.first_touch = false;
+  const int k = 8;
+  const LanczosResult fresh = lanczos(csr, csb, k, Version::kFlux, o);
+
+  flux::Scheduler::Config cfg;
+  cfg.threads = 2;
+  flux::Scheduler pool(cfg);
+  o.flux_pool = &pool;
+  auto tasks_for = [&](int iterations) {
+    const std::uint64_t before = pool.stats().executed;
+    (void)lanczos(csr, csb, iterations, Version::kFlux, o);
+    return pool.stats().executed - before;
+  };
+  const std::uint64_t first = tasks_for(1);
+  const std::uint64_t per_iteration = tasks_for(2) - first;
+  ASSERT_GT(per_iteration, 2u);
+
+  {
+    support::fault::ScopedFault inject(
+        "flux:task:hit=" + std::to_string(first + per_iteration / 2));
+    std::packaged_task<void()> solve(
+        [&] { (void)lanczos(csr, csb, k, Version::kFlux, o); });
+    std::future<void> done = solve.get_future();
+    std::thread runner(std::move(solve));
+    if (done.wait_for(std::chrono::seconds(30)) !=
+        std::future_status::ready) {
+      std::fprintf(stderr, "FluxReplay: the failed task's solve still "
+                           "runs after 30 s\n");
+      std::_Exit(1); // the runner is stuck; nothing can join it
+    }
+    runner.join();
+    EXPECT_THROW(done.get(), support::fault::Injected);
+  }
+  EXPECT_FALSE(pool.cancelled());
+  const LanczosResult again = lanczos(csr, csb, k, Version::kFlux, o);
+  EXPECT_EQ(again.alphas, fresh.alphas);
+  EXPECT_EQ(again.betas, fresh.betas);
 }
 
 } // namespace

@@ -8,7 +8,7 @@
 #   numa         topology fixtures, pinned re-runs, steal-tier bench
 #   dispatch     scheduler/partition/quota tests + fifo-vs-fair bench
 #   asan         AddressSanitizer build + concurrency-heavy labels (+cg, solvers)
-#   tsan         ThreadSanitizer pass over obs + dispatcher structures
+#   tsan         ThreadSanitizer pass over obs, dispatcher and flux runners
 #   bench        microbench exports (BENCH_kernels/obs/cg.json)
 #   format       git clang-format --diff over the changed files
 #   bench-check  compare BENCH_*.json medians against bench/baselines/
@@ -124,6 +124,12 @@ stage_tsan() {
   # factor and solves stay outside OpenMP, so every report here is real.
   cmake --build "$tsan_build" -j "$jobs" --target cg_test
   "$tsan_build/tests/cg_test" --gtest_filter='CgConcurrency.*:CgFlux.*'
+  # Captured flux task graphs and the scheduler's idle spin: graph replay
+  # on its own, and flux Lanczos solves with first touch off (no OpenMP
+  # region) whose replayed task fails on a shared pool.
+  cmake --build "$tsan_build" -j "$jobs" --target flux_test solvers_test
+  "$tsan_build/tests/flux_test" --gtest_filter='TaskGraph.*:Scheduler.*'
+  "$tsan_build/tests/solvers_test" --gtest_filter='FluxReplay.*'
 }
 
 stage_bench() {
